@@ -142,6 +142,78 @@ void BM_TgaGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_TgaGenerate)->DenseRange(0, v6::tga::kNumTgas - 1);
 
+/// A universe of the paper sweep's size (the Workbench's 2,000 ASes at
+/// host scale 0.12, ~400k hosts).
+const v6::simnet::Universe& sweep_universe() {
+  static const v6::simnet::Universe universe = [] {
+    v6::simnet::UniverseConfig config;
+    config.seed = 7;
+    config.num_ases = 2000;
+    config.host_scale = 0.12;
+    return v6::simnet::UniverseBuilder::build(config);
+  }();
+  return universe;
+}
+
+/// A stride sample of the sweep universe's hosts: enough seeds that DET's
+/// space tree has over 10k leaf regions, the scale at which per-chunk
+/// region selection dominates the paper sweep (reported as the
+/// `det_regions` counter).
+const std::vector<Ipv6Addr>& cycle_seeds() {
+  static const std::vector<Ipv6Addr> seeds = [] {
+    const auto hosts = sweep_universe().hosts();
+    std::vector<Ipv6Addr> sample;
+    for (std::size_t i = 0; i < hosts.size(); i += 4) {
+      sample.push_back(hosts[i].addr);
+    }
+    return sample;
+  }();
+  return seeds;
+}
+
+void BM_TgaCycle(benchmark::State& state) {
+  // The pipeline's loop, unlike BM_TgaGenerate: a fresh model spends a
+  // 20k budget in 1,000-address batches, observing every address with
+  // the universe's ground truth before asking for the next batch. Only
+  // prepare() and teardown run untimed.
+  constexpr std::size_t kBudget = 20'000;
+  const auto kind =
+      v6::tga::kAllTgas[static_cast<std::size_t>(state.range(0))];
+  const auto& universe = sweep_universe();
+  const auto& seeds = cycle_seeds();
+  std::int64_t generated = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto generator = v6::tga::make_generator(kind);
+    generator->prepare(seeds, 11);
+    state.ResumeTiming();
+    for (std::size_t spent = 0; spent < kBudget;) {
+      const auto batch = generator->next_batch(1000);
+      benchmark::DoNotOptimize(batch.data());
+      if (batch.empty()) break;
+      for (const Ipv6Addr& addr : batch) {
+        generator->observe(addr, universe.host_active(
+                                     addr, v6::net::ProbeType::kIcmp));
+      }
+      spent += batch.size();
+      generated += static_cast<std::int64_t>(batch.size());
+    }
+    state.PauseTiming();
+    generator.reset();
+    state.ResumeTiming();
+  }
+  state.SetLabel(std::string(v6::tga::to_string(kind)));
+  state.SetItemsProcessed(generated);
+  state.counters["det_regions"] = static_cast<double>(
+      v6::tga::SpaceTree(seeds, {.policy = v6::tga::SplitPolicy::kMinEntropy})
+          .regions()
+          .size());
+}
+BENCHMARK(BM_TgaCycle)
+    ->DenseRange(0, v6::tga::kNumTgas - 1)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(5);
+
 void BM_ScannerScan(benchmark::State& state) {
   const auto& universe = small_universe();
   const auto targets = sample_seeds(4096);

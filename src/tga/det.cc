@@ -7,8 +7,13 @@ namespace v6::tga {
 
 using v6::net::Ipv6Addr;
 
+namespace {
+constexpr std::uint32_t kLastIndex = ~std::uint32_t{0};
+}  // namespace
+
 void Det::reset_model() {
   regions_.clear();
+  groups_.clear();
   pending_.clear();
   total_emitted_ = 0;
   SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
@@ -20,18 +25,59 @@ void Det::reset_model() {
     region.cursor = RegionCursor(r.base, r.free);
     region.seed_mass = static_cast<double>(r.seed_count);
     regions_.push_back(std::move(region));
+    link(static_cast<std::uint32_t>(regions_.size() - 1));
   }
 }
 
-double Det::score(const Region& r) const {
-  if (r.dead) return -1.0;
-  const double exploit =
-      r.seed_mass / static_cast<double>(r.emitted + 16);
-  const double explore =
-      options_.exploration *
-      std::sqrt(std::log(static_cast<double>(total_emitted_ + 2)) /
-                static_cast<double>(r.emitted + 1));
-  return exploit + explore;
+void Det::unlink(std::uint32_t i) {
+  const Region& region = regions_[i];
+  if (region.dead) return;
+  const auto group = groups_.find(region.emitted);
+  group->second.erase({region.exploit, i});
+  if (group->second.empty()) groups_.erase(group);
+}
+
+void Det::link(std::uint32_t i) {
+  Region& region = regions_[i];
+  if (region.dead) return;
+  region.exploit =
+      region.seed_mass / static_cast<double>(region.emitted + 16);
+  groups_[region.emitted].insert({region.exploit, i});
+}
+
+std::size_t Det::select() const {
+  // A region's UCB score is exploit + explore, and explore depends only
+  // on the region's emitted count. Rounded addition is monotone in each
+  // operand, so within a group the score never rises down the exploit
+  // order: each group is walked from its front while it still beats or
+  // ties the best so far. The terms are computed exactly as a per-region
+  // evaluation would, so the choice is bit-for-bit the linear scan's.
+  const double log_total = std::log(static_cast<double>(total_emitted_ + 2));
+  std::size_t best = regions_.size();
+  double best_score = 0.0;
+  for (const auto& [emitted, group] : groups_) {
+    const double explore =
+        options_.exploration *
+        std::sqrt(log_total / static_cast<double>(emitted + 1));
+    for (auto it = group.begin(); it != group.end();) {
+      const double score = it->exploit + explore;
+      if (best == regions_.size() || score > best_score) {
+        best = it->index;
+        best_score = score;
+      } else if (score < best_score) {
+        break;
+      } else {
+        best = std::min<std::size_t>(best, it->index);
+      }
+      // The rest of a run of equal exploit terms has higher indices and
+      // cannot win: jump past it.
+      const double exploit = it->exploit;
+      if (++it != group.end() && it->exploit == exploit) {
+        it = group.upper_bound({exploit, kLastIndex});
+      }
+    }
+  }
+  return best;
 }
 
 std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
@@ -41,19 +87,11 @@ std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
 
   std::size_t consecutive_failures = 0;
   while (out.size() < n && consecutive_failures < regions_.size() + 8) {
-    // Select the best-scoring region (linear scan; region counts are in
-    // the tens of thousands at most).
-    std::size_t best = 0;
-    double best_score = -2.0;
-    for (std::size_t i = 0; i < regions_.size(); ++i) {
-      const double s = score(regions_[i]);
-      if (s > best_score) {
-        best_score = s;
-        best = i;
-      }
-    }
+    const std::size_t best = select();
+    if (best == regions_.size()) break;  // every region is dead
+    const auto index = static_cast<std::uint32_t>(best);
     Region& region = regions_[best];
-    if (region.dead) break;  // every region is dead
+    unlink(index);
 
     std::uint64_t taken = 0;
     while (taken < options_.chunk && out.size() < n) {
@@ -67,10 +105,11 @@ std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
       ++region.emitted;
       ++total_emitted_;
       if (emit(*addr, out)) {
-        pending_.emplace(*addr, static_cast<std::uint32_t>(best));
+        pending_.emplace(*addr, index);
         ++taken;
       }
     }
+    link(index);
     consecutive_failures = taken == 0 ? consecutive_failures + 1 : 0;
   }
   return out;
@@ -80,7 +119,9 @@ void Det::observe(const Ipv6Addr& addr, bool active) {
   const auto it = pending_.find(addr);
   if (it == pending_.end()) return;
   if (active) {
+    unlink(it->second);
     regions_[it->second].seed_mass += options_.hit_weight;
+    link(it->second);
   }
   pending_.erase(it);
 }

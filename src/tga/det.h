@@ -8,6 +8,8 @@
 // AS diversity in the paper's results.
 #pragma once
 
+#include <map>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -41,14 +43,36 @@ class Det final : public TargetGeneratorBase {
   struct Region {
     RegionCursor cursor;
     double seed_mass = 0.0;     // seeds + hit_weight * observed hits
+    double exploit = 0.0;       // seed_mass / (emitted + 16)
     std::uint64_t emitted = 0;  // addresses generated from this region
     bool dead = false;          // space exhausted and unextendable
   };
 
-  double score(const Region& r) const;
+  /// A live region's place in its group: higher exploit term first, then
+  /// lower index.
+  struct Ranked {
+    double exploit;
+    std::uint32_t index;
+    bool operator<(const Ranked& other) const {
+      if (exploit != other.exploit) return exploit > other.exploit;
+      return index < other.index;
+    }
+  };
+
+  /// The live region with the best UCB score, the lowest index on a tie;
+  /// regions_.size() once every region is dead.
+  std::size_t select() const;
+  /// Takes region `i` out of its group (it is about to change).
+  void unlink(std::uint32_t i);
+  /// Recomputes region `i`'s exploit term and files it under its emitted
+  /// count, unless it is dead.
+  void link(std::uint32_t i);
 
   Options options_;
   std::vector<Region> regions_;
+  // Live regions grouped by emitted count. Every region in a group shares
+  // one exploration bonus, so a group's best score is at its front.
+  std::map<std::uint64_t, std::set<Ranked>> groups_;
   std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
   std::uint64_t total_emitted_ = 0;
 };

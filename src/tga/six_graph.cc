@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 
 namespace v6::tga {
@@ -62,6 +63,57 @@ std::uint64_t free_mask_of(const std::vector<int>& free) {
   return m;
 }
 
+/// The first (leaf, wildcard position) to claim each PatternKey, as an
+/// open-addressing table sized once for every key the leaves can make.
+/// A slot stores only the claiming (leaf, pos); its key is recomputed
+/// from the leaf on each probe, which keeps slots at 8 bytes — the
+/// pattern mining makes up to 31 keys per leaf.
+class FirstWithKey {
+ public:
+  FirstWithKey(std::span<const TreeRegion> leaves,
+               std::span<const std::uint64_t> free_masks,
+               std::size_t max_keys)
+      : leaves_(leaves), free_masks_(free_masks) {
+    std::size_t capacity = 16;
+    while (capacity * 7 < max_keys * 10) capacity <<= 1;  // load <= 70%
+    slots_.assign(capacity, Slot{});
+  }
+
+  /// The leaf that first claimed (leaf, pos)'s key; claims it for `leaf`
+  /// (and returns `leaf`) if nobody has.
+  std::uint32_t claim(std::uint32_t leaf, int pos) {
+    const PatternKey key = key_of(leaf, pos);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = PatternKeyHash{}(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.leaf == kEmpty) {
+        slot = {leaf, static_cast<std::uint32_t>(pos)};
+        return leaf;
+      }
+      if (key_of(slot.leaf, static_cast<int>(slot.pos)) == key) {
+        return slot.leaf;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~0u;
+
+  struct Slot {
+    std::uint32_t leaf = kEmpty;
+    std::uint32_t pos = 0;
+  };
+
+  PatternKey key_of(std::uint32_t leaf, int pos) const {
+    return {leaves_[leaf].base.with_nybble(pos, 0),
+            free_masks_[leaf] | (1ULL << pos)};
+  }
+
+  std::span<const TreeRegion> leaves_;
+  std::span<const std::uint64_t> free_masks_;
+  std::vector<Slot> slots_;
+};
+
 }  // namespace
 
 void SixGraph::reset_model() {
@@ -76,21 +128,25 @@ void SixGraph::reset_model() {
 
   // Connect leaves that agree on their pattern once any single fixed
   // nybble is wildcarded (an edge in 6Graph's pattern-similarity graph).
-  UnionFind uf(leaves.size());
-  std::unordered_map<PatternKey, std::uint32_t, PatternKeyHash> first_with_key;
+  // Only tight leaves participate in pattern mining: a leaf with many
+  // free dimensions is noise, and merging through it would fuse
+  // unrelated patterns into one dilute cluster.
+  std::vector<std::uint64_t> free_masks(leaves.size());
+  std::size_t max_keys = 0;
   for (std::uint32_t li = 0; li < leaves.size(); ++li) {
-    const TreeRegion& leaf = leaves[li];
-    // Only tight leaves participate in pattern mining: a leaf with many
-    // free dimensions is noise, and merging through it would fuse
-    // unrelated patterns into one dilute cluster.
-    if (leaf.free.size() > 2) continue;
-    const std::uint64_t base_mask = free_mask_of(leaf.free);
+    free_masks[li] = free_mask_of(leaves[li].free);
+    if (leaves[li].free.size() <= 2) {
+      max_keys += Ipv6Addr::kNybbles - leaves[li].free.size();
+    }
+  }
+  UnionFind uf(leaves.size());
+  FirstWithKey first_with_key(leaves, free_masks, max_keys);
+  for (std::uint32_t li = 0; li < leaves.size(); ++li) {
+    if (leaves[li].free.size() > 2) continue;
     for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
-      if (base_mask & (1ULL << pos)) continue;
-      PatternKey key{leaf.base.with_nybble(pos, 0),
-                     base_mask | (1ULL << pos)};
-      const auto [it, inserted] = first_with_key.emplace(key, li);
-      if (!inserted) uf.unite(it->second, li, /*cap=*/16);
+      if (free_masks[li] & (1ULL << pos)) continue;
+      const std::uint32_t first = first_with_key.claim(li, pos);
+      if (first != li) uf.unite(first, li, /*cap=*/16);
     }
   }
 

@@ -25,6 +25,12 @@ void SixHit::build_tree(const std::vector<Ipv6Addr>& from) {
         0.2 + (max_density > 0 ? 0.3 * r.density / max_density : 0.0);
     regions_.push_back(std::move(region));
   }
+  greedy_.assign(regions_.size(),
+                 [this](std::size_t i) { return regions_[i].q; });
+}
+
+void SixHit::rekey(std::size_t i) {
+  greedy_.set(i, regions_[i].dead ? MaxTournament::kOut : regions_[i].q);
 }
 
 void SixHit::reset_model() {
@@ -68,15 +74,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
     if (v6::net::chance(rng_, options_.epsilon)) {
       pick = v6::net::uniform_int<std::size_t>(rng_, 0, regions_.size() - 1);
     } else {
-      pick = 0;
-      double best = -1.0;
-      for (std::size_t i = 0; i < regions_.size(); ++i) {
-        if (regions_[i].dead) continue;
-        if (regions_[i].q > best) {
-          best = regions_[i].q;
-          pick = i;
-        }
-      }
+      pick = greedy_.winner();  // region 0 when every region is dead
     }
     Region& region = regions_[pick];
     if (region.dead) {
@@ -94,6 +92,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
           // selection moves on unless feedback re-confirms it.
           region.q *= 0.5;
         }
+        rekey(pick);
         break;
       }
       if (emit(*addr, out)) {
@@ -112,6 +111,7 @@ void SixHit::observe(const Ipv6Addr& addr, bool active) {
   Region& region = regions_[it->second];
   const double reward = active ? 1.0 : 0.0;
   region.q += options_.learning_rate * (reward - region.q);
+  rekey(it->second);
   if (active) {
     discovered_.push_back(addr);
     ++hits_since_rebuild_;

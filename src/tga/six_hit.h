@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "tga/max_tournament.h"
 #include "tga/space_tree.h"
 #include "tga/target_generator.h"
 
@@ -51,9 +52,12 @@ class SixHit final : public TargetGeneratorBase {
   };
 
   void build_tree(const std::vector<v6::net::Ipv6Addr>& from);
+  /// Re-enters region `i`'s current q (or kOut once dead) in greedy_.
+  void rekey(std::size_t i);
 
   Options options_;
   std::vector<Region> regions_;
+  MaxTournament greedy_;  // argmax q over live regions
   std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
   std::vector<v6::net::Ipv6Addr> discovered_;
   std::uint64_t hits_since_rebuild_ = 0;

@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
+#include "net/addr_index.h"
 #include "net/ipv6.h"
 #include "net/rng.h"
 #include "net/service.h"
@@ -78,8 +78,8 @@ class TargetGeneratorBase : public TargetGenerator {
                std::uint64_t rng_seed) final {
     seeds_.assign(seeds.begin(), seeds.end());
     seed_set_.clear();
-    seed_set_.reserve(seeds.size() * 2);
-    for (const v6::net::Ipv6Addr& s : seeds_) seed_set_.insert(s);
+    seed_set_.reserve(seeds.size());
+    for (const v6::net::Ipv6Addr& s : seeds_) seed_set_.insert(s, 0);
     emitted_.clear();
     rng_ = v6::net::make_rng(rng_seed, v6::net::splitmix64(name().size()));
     reset_model();
@@ -96,7 +96,7 @@ class TargetGeneratorBase : public TargetGenerator {
   std::size_t register_seeds(std::span<const v6::net::Ipv6Addr> added) {
     std::size_t fresh = 0;
     for (const v6::net::Ipv6Addr& addr : added) {
-      if (seed_set_.insert(addr).second) {
+      if (seed_set_.insert(addr, 0)) {
         seeds_.push_back(addr);
         ++fresh;
       }
@@ -109,14 +109,16 @@ class TargetGeneratorBase : public TargetGenerator {
   bool emit(const v6::net::Ipv6Addr& addr,
             std::vector<v6::net::Ipv6Addr>& out) {
     if (seed_set_.contains(addr)) return false;
-    if (!emitted_.insert(addr).second) return false;
+    if (!emitted_.insert(addr, 0)) return false;
     out.push_back(addr);
     return true;
   }
 
   std::vector<v6::net::Ipv6Addr> seeds_;
-  std::unordered_set<v6::net::Ipv6Addr> seed_set_;
-  std::unordered_set<v6::net::Ipv6Addr> emitted_;
+  // Flat sets (the mapped index is unused): only ever inserted into and
+  // queried, never erased from or iterated.
+  v6::net::AddrIndexMap seed_set_;
+  v6::net::AddrIndexMap emitted_;
   v6::net::Rng rng_;
 };
 
