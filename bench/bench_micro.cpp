@@ -110,18 +110,6 @@ void BM_UniverseProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_UniverseProbe);
 
-void BM_SpaceTreeBuild(benchmark::State& state) {
-  const auto seeds = sample_seeds(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    v6::tga::SpaceTree tree(
-        seeds, {.policy = v6::tga::SplitPolicy::kLeftmost});
-    benchmark::DoNotOptimize(tree.regions().size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(seeds.size()));
-}
-BENCHMARK(BM_SpaceTreeBuild)->Arg(1000)->Arg(10000);
-
 void BM_TgaGenerate(benchmark::State& state) {
   const auto kind =
       v6::tga::kAllTgas[static_cast<std::size_t>(state.range(0))];
@@ -155,9 +143,9 @@ const v6::simnet::Universe& sweep_universe() {
   return universe;
 }
 
-/// A stride sample of the sweep universe's hosts: enough seeds that DET's
-/// space tree has over 10k leaf regions, the scale at which per-chunk
-/// region selection dominates the paper sweep (reported as the
+/// A stride sample of the sweep universe's hosts (~96k seeds): enough
+/// that DET's space tree has over 10k leaf regions, the scale at which
+/// per-chunk region selection dominates the paper sweep (reported as the
 /// `det_regions` counter).
 const std::vector<Ipv6Addr>& cycle_seeds() {
   static const std::vector<Ipv6Addr> seeds = [] {
@@ -170,6 +158,29 @@ const std::vector<Ipv6Addr>& cycle_seeds() {
   }();
   return seeds;
 }
+
+void BM_SpaceTreeBuild(benchmark::State& state) {
+  // Arguments: policy (0 leftmost, 1 min-entropy) and seed count: 1k or
+  // 10k seeds of the small universe, or with count 0 the ~96k seeds of
+  // cycle_seeds(), the sweep's scale, where more of the tree's upper
+  // nodes (those over 4,096 seeds) split from a stride sample.
+  const auto policy = state.range(0) == 0 ? v6::tga::SplitPolicy::kLeftmost
+                                          : v6::tga::SplitPolicy::kMinEntropy;
+  const std::vector<Ipv6Addr> seeds =
+      state.range(1) == 0
+          ? cycle_seeds()
+          : sample_seeds(static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    v6::tga::SpaceTree tree(seeds, {.policy = policy});
+    benchmark::DoNotOptimize(tree.regions().size());
+  }
+  state.SetLabel(state.range(0) == 0 ? "leftmost" : "min-entropy");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(seeds.size()));
+}
+BENCHMARK(BM_SpaceTreeBuild)
+    ->ArgsProduct({{0, 1}, {1000, 10000, 0}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TgaCycle(benchmark::State& state) {
   // The pipeline's loop, unlike BM_TgaGenerate: a fresh model spends a

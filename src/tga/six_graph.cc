@@ -1,6 +1,7 @@
 #include "tga/six_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -198,19 +199,17 @@ void SixGraph::reset_model() {
     std::vector<std::vector<std::uint8_t>> values;
     double span_log16 = 0.0;
     for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
-      const bool is_free = (free_mask >> pos) & 1;
+      // A free position takes all 16 values.
+      const std::uint16_t bits =
+          ((free_mask >> pos) & 1) != 0
+              ? std::uint16_t{0xFFFF}
+              : value_bits[static_cast<std::size_t>(pos)];
+      const int count = std::popcount(bits);
+      if (count <= 1) continue;  // constant across members
       std::vector<std::uint8_t> vals;
-      if (is_free) {
-        vals.resize(16);
-        for (int v = 0; v < 16; ++v) vals[static_cast<std::size_t>(v)] =
-            static_cast<std::uint8_t>(v);
-      } else {
-        for (int v = 0; v < 16; ++v) {
-          if (value_bits[static_cast<std::size_t>(pos)] & (1u << v)) {
-            vals.push_back(static_cast<std::uint8_t>(v));
-          }
-        }
-        if (vals.size() <= 1) continue;  // constant across members
+      vals.reserve(static_cast<std::size_t>(count));
+      for (std::uint8_t v = 0; v < 16; ++v) {
+        if ((bits >> v) & 1u) vals.push_back(v);
       }
       span_log16 += std::log2(static_cast<double>(vals.size())) / 4.0;
       positions.push_back(pos);

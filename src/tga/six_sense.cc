@@ -10,6 +10,19 @@ namespace v6::tga {
 
 using v6::net::Ipv6Addr;
 
+namespace {
+
+/// Region id of the shared-pattern arm in a feedback route.
+constexpr std::uint32_t kPatternArm = 0xFFFFFFFF;
+
+/// Feedback route of an emitted address: its section and region ids,
+/// each in 32 bits.
+std::uint64_t route(std::uint32_t section_id, std::uint32_t region_id) {
+  return (static_cast<std::uint64_t>(section_id) << 32) | region_id;
+}
+
+}  // namespace
+
 void SixSense::attach_online_dealiaser(v6::dealias::OnlineDealiaser* dealiaser,
                                        v6::net::ProbeType type) {
   dealiaser_ = dealiaser;
@@ -131,8 +144,7 @@ std::uint64_t SixSense::draw_patterns(std::uint32_t section_id,
     ++total_emitted_;
     const Ipv6Addr addr(subnet, pattern);
     if (emit(addr, out)) {
-      pending_.emplace(addr, (static_cast<std::uint64_t>(section_id) << 16) |
-                                 0xFFFF);
+      pending_.emplace(addr, route(section_id, kPatternArm));
       ++taken;
     }
   }
@@ -213,9 +225,7 @@ std::uint64_t SixSense::draw_from_section(std::uint32_t section_id,
       ++section.emitted;
       ++total_emitted_;
       if (emit(*addr, out)) {
-        pending_.emplace(*addr,
-                         (static_cast<std::uint64_t>(section_id) << 16) |
-                             best_id);
+        pending_.emplace(*addr, route(section_id, best_id));
         ++taken;
       }
     }
@@ -269,13 +279,11 @@ void SixSense::observe(const Ipv6Addr& addr, bool active) {
   const auto it = pending_.find(addr);
   if (it == pending_.end()) return;
   if (active) {
-    const std::uint32_t section_id =
-        static_cast<std::uint32_t>(it->second >> 16);
-    const std::uint32_t region_id =
-        static_cast<std::uint32_t>(it->second & 0xFFFF);
+    const auto section_id = static_cast<std::uint32_t>(it->second >> 32);
+    const auto region_id = static_cast<std::uint32_t>(it->second);
     Section& section = sections_[section_id];
     ++section.hits;
-    if (region_id == 0xFFFF) {
+    if (region_id == kPatternArm) {
       ++section.pattern_hits;
     } else if (region_id < section.regions.size()) {
       ++section.regions[region_id].hits;

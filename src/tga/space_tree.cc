@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "tga/nybble_stats.h"
@@ -116,12 +117,87 @@ bool RangeCursor::widen() {
 
 // ---- SpaceTree -----------------------------------------------------------
 
+namespace {
+
+/// Split decisions on nodes over this many seeds come from a stride sample.
+constexpr std::size_t kSampleCap = 4096;
+
+/// The OR of `seeds[i] ^ seeds[idx[0]]` over every `stride`-th index of
+/// `idx`: a nybble of the result is non-zero exactly when that position
+/// takes more than one value among the visited seeds.
+Ipv6Addr varying_mask(std::span<const Ipv6Addr> seeds,
+                      std::span<const std::uint32_t> idx,
+                      std::size_t stride) {
+  const Ipv6Addr first = seeds[idx.front()];
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  for (std::size_t i = 0; i < idx.size(); i += stride) {
+    hi |= seeds[idx[i]].hi() ^ first.hi();
+    lo |= seeds[idx[i]].lo() ^ first.lo();
+  }
+  return Ipv6Addr(hi, lo);
+}
+
+/// 6Tree's split: the leftmost varying position, or -1.
+int leftmost_split(const Ipv6Addr& varying) {
+  if (varying.hi() != 0) return std::countl_zero(varying.hi()) / 4;
+  if (varying.lo() != 0) return 16 + std::countl_zero(varying.lo()) / 4;
+  return -1;
+}
+
+/// DET's split: the varying position of least entropy over the visited
+/// seeds (the leftmost one on a tie), or -1. Histograms only the varying
+/// positions, all in one pass, and leaves the chosen position's
+/// histogram in `counts`.
+int min_entropy_split(std::span<const Ipv6Addr> seeds,
+                      std::span<const std::uint32_t> idx, std::size_t stride,
+                      const Ipv6Addr& varying, NybbleHistogram& counts) {
+  // The j-th varying position is nybble (half >> shift[j]) & 0xF of the
+  // upper half of an address for j < k_hi, of its lower half after that.
+  std::array<int, Ipv6Addr::kNybbles> positions{};
+  std::array<int, Ipv6Addr::kNybbles> shift{};
+  std::size_t k = 0;
+  std::size_t k_hi = 0;
+  for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
+    if (varying.nybble(pos) == 0) continue;
+    if (pos < 16) ++k_hi;
+    positions[k] = pos;
+    shift[k++] = (15 - pos % 16) * 4;
+  }
+  std::array<NybbleHistogram, Ipv6Addr::kNybbles> hist{};
+  for (std::size_t i = 0; i < idx.size(); i += stride) {
+    const std::uint64_t hi = seeds[idx[i]].hi();
+    const std::uint64_t lo = seeds[idx[i]].lo();
+    for (std::size_t j = 0; j < k_hi; ++j) {
+      ++hist[j].count[(hi >> shift[j]) & 0xF];
+    }
+    for (std::size_t j = k_hi; j < k; ++j) {
+      ++hist[j].count[(lo >> shift[j]) & 0xF];
+    }
+  }
+  std::size_t best = k;
+  double best_h = 5.0;  // above the 4-bit maximum
+  for (std::size_t j = 0; j < k; ++j) {
+    const double e = hist[j].entropy();
+    if (e < best_h) {
+      best_h = e;
+      best = j;
+    }
+  }
+  if (best == k) return -1;
+  counts = hist[best];
+  return positions[best];
+}
+
+}  // namespace
+
 SpaceTree::SpaceTree(std::span<const Ipv6Addr> seeds, Options options)
     : options_(options) {
   if (seeds.empty()) return;
-  std::vector<std::uint32_t> all(seeds.size());
-  for (std::uint32_t i = 0; i < seeds.size(); ++i) all[i] = i;
-  build(seeds, std::move(all), 0);
+  std::vector<std::uint32_t> idx(seeds.size());
+  for (std::uint32_t i = 0; i < seeds.size(); ++i) idx[i] = i;
+  std::vector<std::uint32_t> scratch(seeds.size());
+  build(seeds, idx, scratch, 0);
   std::sort(regions_.begin(), regions_.end(),
             [](const TreeRegion& a, const TreeRegion& b) {
               if (a.density != b.density) return a.density > b.density;
@@ -130,69 +206,91 @@ SpaceTree::SpaceTree(std::span<const Ipv6Addr> seeds, Options options)
 }
 
 void SpaceTree::build(std::span<const Ipv6Addr> seeds,
-                      std::vector<std::uint32_t> indices, int depth) {
+                      std::span<std::uint32_t> idx,
+                      std::span<std::uint32_t> scratch, int depth) {
   ++node_count_;
 
-  // Split decisions on large nodes are made from a stride sample; the
-  // exact statistics are recomputed if the node turns out to be a leaf.
-  constexpr std::size_t kSampleCap = 4096;
-  const bool sampled = indices.size() > kSampleCap;
-  NybbleStats stats;
-  if (sampled) {
-    const std::size_t stride = indices.size() / kSampleCap;
-    for (std::size_t i = 0; i < indices.size(); i += stride) {
-      stats.add(seeds[indices[i]]);
+  // Leaf-sized nodes take no split statistics. Split decisions on large
+  // nodes are made from a stride sample; a node whose sample does not
+  // vary is a leaf and takes its exact varying set below.
+  const std::size_t n = idx.size();
+  if (n > options_.max_leaf_seeds && depth < Ipv6Addr::kNybbles) {
+    const std::size_t stride = n > kSampleCap ? n / kSampleCap : 1;
+    const Ipv6Addr varying = varying_mask(seeds, idx, stride);
+    NybbleHistogram counts;
+    const int split =
+        options_.policy == SplitPolicy::kLeftmost
+            ? leftmost_split(varying)
+            : min_entropy_split(seeds, idx, stride, varying, counts);
+    if (split >= 0) {
+      // A min-entropy histogram over the whole node counts its children.
+      const bool counted =
+          options_.policy == SplitPolicy::kMinEntropy && stride == 1;
+      partition(seeds, idx, scratch, split, counted ? &counts : nullptr,
+                depth);
+      return;
     }
+    if (stride == 1) {
+      add_leaf(seeds, idx, varying);
+      return;
+    }
+  }
+  add_leaf(seeds, idx, varying_mask(seeds, idx, 1));
+}
+
+void SpaceTree::partition(std::span<const Ipv6Addr> seeds,
+                          std::span<std::uint32_t> idx,
+                          std::span<std::uint32_t> scratch, int split,
+                          const NybbleHistogram* counts, int depth) {
+  // Stable counting partition on the split nybble: every child keeps its
+  // indices in ascending seed order.
+  std::array<std::size_t, 17> offset{};
+  if (counts != nullptr) {
+    std::copy(counts->count.begin(), counts->count.end(), offset.begin() + 1);
   } else {
-    for (const std::uint32_t i : indices) stats.add(seeds[i]);
+    for (const std::uint32_t i : idx) ++offset[seeds[i].nybble(split) + 1u];
   }
+  for (std::size_t v = 0; v < 16; ++v) offset[v + 1] += offset[v];
+  std::array<std::size_t, 16> next{};
+  std::copy_n(offset.begin(), 16, next.begin());
+  for (const std::uint32_t i : idx) scratch[next[seeds[i].nybble(split)]++] = i;
+  for (std::size_t v = 0; v < 16; ++v) {
+    const std::size_t len = offset[v + 1] - offset[v];
+    if (len == 0) continue;
+    build(seeds, scratch.subspan(offset[v], len), idx.subspan(offset[v], len),
+          depth + 1);
+  }
+}
 
-  const int split =
-      options_.policy == SplitPolicy::kLeftmost
-          ? stats.leftmost_varying_position()
-          : stats.min_entropy_position();
-
-  const bool make_leaf = split < 0 ||
-                         indices.size() <= options_.max_leaf_seeds ||
-                         depth >= Ipv6Addr::kNybbles;
-  if (make_leaf) {
-    if (sampled) {
-      stats = NybbleStats();
-      for (const std::uint32_t i : indices) stats.add(seeds[i]);
+void SpaceTree::add_leaf(std::span<const Ipv6Addr> seeds,
+                         std::span<const std::uint32_t> idx,
+                         const Ipv6Addr& varying) {
+  std::array<int, Ipv6Addr::kNybbles> positions{};
+  int k = 0;
+  for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
+    if (varying.nybble(pos) != 0) {
+      positions[static_cast<std::size_t>(k++)] = pos;
     }
-    TreeRegion region;
-    std::vector<int> varying = stats.varying_positions();
-    // Keep at most max_free dimensions; prefer the rightmost (host-side)
-    // ones, which vary most in structured allocations.
-    if (static_cast<int>(varying.size()) > options_.max_free) {
-      varying.erase(varying.begin(),
-                    varying.end() - options_.max_free);
-    }
-    if (varying.empty()) {
-      // Identical (or single) seeds: expand around the host nybble.
-      varying.push_back(Ipv6Addr::kNybbles - 1);
-    }
-    region.base = seeds[indices.front()];
-    for (const int pos : varying) region.base = region.base.with_nybble(pos, 0);
-    region.free = std::move(varying);
-    region.seed_count = static_cast<std::uint32_t>(indices.size());
-    // (n - 0.5) rather than n: a singleton region's density estimate is
-    // discounted so true multi-seed patterns outrank lone addresses.
-    region.density = (static_cast<double>(indices.size()) - 0.5) /
-                     std::pow(16.0, static_cast<double>(region.free.size()));
-    regions_.push_back(std::move(region));
-    return;
   }
-
-  std::array<std::vector<std::uint32_t>, 16> buckets;
-  for (const std::uint32_t i : indices) {
-    buckets[seeds[i].nybble(split)].push_back(i);
+  // Keep at most max_free dimensions; prefer the rightmost (host-side)
+  // ones, which vary most in structured allocations.
+  const int keep = std::clamp(options_.max_free, 0, k);
+  TreeRegion region;
+  region.free.assign(positions.begin() + (k - keep), positions.begin() + k);
+  if (region.free.empty()) {
+    // Identical (or single) seeds: expand around the host nybble.
+    region.free.push_back(Ipv6Addr::kNybbles - 1);
   }
-  indices.clear();
-  indices.shrink_to_fit();
-  for (auto& bucket : buckets) {
-    if (!bucket.empty()) build(seeds, std::move(bucket), depth + 1);
+  region.base = seeds[idx.front()];
+  for (const int pos : region.free) {
+    region.base = region.base.with_nybble(pos, 0);
   }
+  region.seed_count = static_cast<std::uint32_t>(idx.size());
+  // (n - 0.5) rather than n: a singleton region's density estimate is
+  // discounted so true multi-seed patterns outrank lone addresses.
+  region.density = (static_cast<double>(idx.size()) - 0.5) /
+                   std::pow(16.0, static_cast<double>(region.free.size()));
+  regions_.push_back(std::move(region));
 }
 
 }  // namespace v6::tga

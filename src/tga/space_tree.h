@@ -17,6 +17,8 @@
 
 namespace v6::tga {
 
+struct NybbleHistogram;
+
 enum class SplitPolicy : std::uint8_t {
   kLeftmost,    // 6Tree-style divisive hierarchical clustering
   kMinEntropy,  // DET/6Graph-style entropy splitting
@@ -105,8 +107,25 @@ class SpaceTree {
   std::size_t node_count() const { return node_count_; }
 
  private:
+  /// Builds the subtree of the node whose seed indices are `idx`
+  /// (ascending); `scratch` is a buffer of the same size.
   void build(std::span<const v6::net::Ipv6Addr> seeds,
-             std::vector<std::uint32_t> indices, int depth);
+             std::span<std::uint32_t> idx, std::span<std::uint32_t> scratch,
+             int depth);
+
+  /// Partitions node `idx` on nybble `split` into the same range of
+  /// `scratch` and builds each child there, with the buffers swapped.
+  /// `counts`, if given, is the split nybble's histogram over the node.
+  void partition(std::span<const v6::net::Ipv6Addr> seeds,
+                 std::span<std::uint32_t> idx,
+                 std::span<std::uint32_t> scratch, int split,
+                 const NybbleHistogram* counts, int depth);
+
+  /// Appends the leaf region of node `idx`, whose exact varying-nybble
+  /// mask is `varying`.
+  void add_leaf(std::span<const v6::net::Ipv6Addr> seeds,
+                std::span<const std::uint32_t> idx,
+                const v6::net::Ipv6Addr& varying);
 
   Options options_;
   std::vector<TreeRegion> regions_;

@@ -50,6 +50,46 @@ TEST(SixSenseSpecific, PatternPoolTransfersAcrossSubnets) {
   EXPECT_GT(transferred, 10);
 }
 
+TEST(SixSenseSpecific, FeedbackRoutesPastSixtyFiveThousandRegions) {
+  // One /32 holds 65,537 seeds in distinct /64s, each a singleton leaf
+  // (density 0.5/16), and a two-seed leaf that differs in six low
+  // nybbles: density sorts it last, at region 65,537, but its score of
+  // 2/16 beats the singletons' 1/16, so it is drawn first. A second /32
+  // holds one small subnet. Hits on the two-seed leaf must be credited to
+  // its own /32, which then wins the next exploit slice; a region id
+  // packed into 16 bits spills into the section id instead.
+  constexpr std::uint64_t kFirst = 0x20010db800000000ULL;
+  constexpr std::uint64_t kSecond = 0x20010db900000000ULL;
+  constexpr std::uint64_t kPairNet = kFirst | 0xFFFFFFFFULL;
+  std::vector<Ipv6Addr> seeds;
+  // Every low 64 bits differ, so the shared-pattern pool stays empty.
+  for (std::uint64_t i = 0; i < 65'537; ++i) {
+    seeds.push_back(Ipv6Addr(kFirst | i, 0x1000 + i));
+  }
+  seeds.push_back(Ipv6Addr(kPairNet, 0x111111));
+  seeds.push_back(Ipv6Addr(kPairNet, 0x222222));
+  for (std::uint64_t host = 1; host <= 20; ++host) {
+    seeds.push_back(Ipv6Addr(kSecond, host));
+  }
+
+  SixSense generator(SixSense::Options{.max_leaf_seeds = 2});
+  generator.prepare(seeds, 42);
+  std::size_t pair_hits = 0;
+  for (const Ipv6Addr& addr : generator.next_batch(64)) {
+    const bool active = addr.hi() == kPairNet;
+    pair_hits += active ? 1 : 0;
+    generator.observe(addr, active);
+  }
+  ASSERT_GT(pair_hits, 8u);  // the pair leaf was drawn past coverage
+
+  std::size_t first = 0;
+  std::size_t second = 0;
+  for (const Ipv6Addr& addr : generator.next_batch(512)) {
+    ++((addr.hi() & ~0xFFFFFFFFULL) == kFirst ? first : second);
+  }
+  EXPECT_GT(first, 10 * second) << first << " vs " << second;
+}
+
 TEST(SixTreeSpecific, DenseSubnetExpandedEarlyAndCompletely) {
   // One dense counter subnet and many far-away singleton subnets: the
   // dense subnet's gaps (hosts 49..255) must be proposed early, and the
