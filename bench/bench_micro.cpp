@@ -63,22 +63,6 @@ void BM_Ipv6Format(benchmark::State& state) {
 }
 BENCHMARK(BM_Ipv6Format);
 
-void BM_TrieLongestMatch(benchmark::State& state) {
-  v6::net::PrefixTrie<std::uint32_t> trie;
-  v6::net::Rng rng(1);
-  for (int i = 0; i < 10'000; ++i) {
-    const Ipv6Addr a(rng(), 0);
-    trie.insert(v6::net::Prefix(a, 32 + static_cast<int>(rng() % 17)),
-                static_cast<std::uint32_t>(i));
-  }
-  Ipv6Addr probe(rng(), rng());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.longest_match(probe));
-    probe = Ipv6Addr(probe.hi() + 0x100000000ULL, probe.lo());
-  }
-}
-BENCHMARK(BM_TrieLongestMatch);
-
 void BM_AddrIndexFind(benchmark::State& state) {
   // The lookup behind Universe::probe: half the queries hit, half miss.
   v6::net::AddrIndexMap map;
@@ -158,6 +142,120 @@ const std::vector<Ipv6Addr>& cycle_seeds() {
   }();
   return seeds;
 }
+
+/// Probe targets of one traffic class on sweep_universe(), drawn the way
+/// the perfbench `scan` workload draws its target mix: 0 ICMP-active
+/// hosts, 1 random addresses inside alias regions, 2 `::1` in random
+/// /64s of the dense region, 3 misses (a random interface identifier in
+/// a host's /64), and 4 all four at the scan mix's shares (18.58%,
+/// 7.15%, 0.20%, 74.07%).
+constexpr const char* kProbeClassNames[] = {"active", "alias", "dense",
+                                            "miss", "mix"};
+
+const std::vector<Ipv6Addr>& probe_class_targets(std::int64_t cls) {
+  static const std::vector<std::vector<Ipv6Addr>> by_class = [] {
+    const auto& universe = sweep_universe();
+    const auto hosts = universe.hosts();
+    std::vector<Ipv6Addr> active;
+    for (const auto& h : hosts) {
+      if (v6::net::has_service(h.services, v6::net::ProbeType::kIcmp)) {
+        active.push_back(h.addr);
+      }
+    }
+    const auto regions = universe.alias_regions();
+    const v6::net::Prefix dense = universe.dense_region()->prefix;
+    v6::net::Rng rng(17);
+    auto draw = [&](int c) {
+      switch (c) {
+        case 0:
+          return active[rng() % active.size()];
+        case 1:
+          return v6::net::random_in_prefix(
+              rng, regions[rng() % regions.size()].prefix);
+        case 2:
+          return Ipv6Addr(v6::net::random_in_prefix(rng, dense).hi(), 1);
+        default:
+          return Ipv6Addr(hosts[rng() % hosts.size()].addr.hi(), rng());
+      }
+    };
+    std::vector<std::vector<Ipv6Addr>> out(std::size(kProbeClassNames));
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      for (int i = 0; i < (1 << 16); ++i) {
+        int pick = static_cast<int>(c);
+        if (pick == 4) {
+          const std::uint64_t roll = rng() % 1'000'000;
+          pick = roll < 185'806   ? 0
+                 : roll < 257'267 ? 1
+                 : roll < 259'307 ? 2
+                                  : 3;
+        }
+        out[c].push_back(draw(pick));
+      }
+    }
+    return out;
+  }();
+  return by_class[static_cast<std::size_t>(cls)];
+}
+
+void BM_TrieLongestMatch(benchmark::State& state) {
+  // 0: 10k random prefixes over 17 lengths (/32../48), probed at a new
+  //    random /32 each time, so nearly every probe misses.
+  // 1: sweep_universe()'s alias regions, probed with the scan mix (every
+  //    Universe::probe makes this match first).
+  // 2: its routing table, probed with the misses (the probes that fall
+  //    through to the route match).
+  v6::net::PrefixTrie<std::uint32_t> trie;
+  if (state.range(0) == 0) {
+    v6::net::Rng rng(1);
+    for (int i = 0; i < 10'000; ++i) {
+      const Ipv6Addr a(rng(), 0);
+      trie.insert(v6::net::Prefix(a, 32 + static_cast<int>(rng() % 17)),
+                  static_cast<std::uint32_t>(i));
+    }
+    Ipv6Addr probe(rng(), rng());
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(trie.longest_match(probe));
+      probe = Ipv6Addr(probe.hi() + 0x100000000ULL, probe.lo());
+    }
+    state.SetLabel("random");
+    return;
+  }
+  const auto& universe = sweep_universe();
+  if (state.range(0) == 1) {
+    const auto regions = universe.alias_regions();
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      trie.insert(regions[i].prefix, static_cast<std::uint32_t>(i));
+    }
+  } else {
+    for (const auto& [prefix, asn] : universe.routes().announcements()) {
+      trie.insert(prefix, asn);
+    }
+  }
+  const auto& queries = probe_class_targets(state.range(0) == 1 ? 4 : 3);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trie.longest_match(queries[i]));
+    if (++i == queries.size()) i = 0;
+  }
+  state.SetLabel(state.range(0) == 1 ? "alias" : "route");
+}
+BENCHMARK(BM_TrieLongestMatch)->DenseRange(0, 2);
+
+void BM_UniverseProbeByClass(benchmark::State& state) {
+  // Universe::probe over one traffic class of sweep_universe(); class 4
+  // is the mix the perfbench `scan` workload sends.
+  const auto& universe = sweep_universe();
+  const auto& targets = probe_class_targets(state.range(0));
+  v6::net::Rng rng(2);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        universe.probe(targets[i], v6::net::ProbeType::kIcmp, rng));
+    if (++i == targets.size()) i = 0;
+  }
+  state.SetLabel(kProbeClassNames[state.range(0)]);
+}
+BENCHMARK(BM_UniverseProbeByClass)->DenseRange(0, 4);
 
 void BM_SpaceTreeBuild(benchmark::State& state) {
   // Arguments: policy (0 leftmost, 1 min-entropy) and seed count: 1k or

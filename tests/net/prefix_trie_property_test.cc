@@ -145,9 +145,10 @@ TEST(PrefixTriePropertyTest, RandomSetsAgreeWithOracle) {
 TEST(PrefixTriePropertyTest, NestedChainResolvesMostSpecific) {
   PrefixTrie<int> trie;
   LinearOracle oracle;
-  // A full nesting chain /0, /8, /16, ..., /128 over one address.
+  // A full nesting chain /0, /1, ..., /128 over one address: every
+  // length, so the chain crosses the /32, /64 and /96 boundaries.
   const Ipv6Addr target = Ipv6Addr::must_parse("2001:db8:cafe:1::42");
-  for (int len = 0; len <= 128; len += 8) {
+  for (int len = 0; len <= 128; ++len) {
     const Prefix p(target, len);
     trie.insert(p, len);
     oracle.insert(p, len);
@@ -157,7 +158,7 @@ TEST(PrefixTriePropertyTest, NestedChainResolvesMostSpecific) {
   EXPECT_EQ(matched, 128);
   EXPECT_EQ(*trie.longest_match(target), 128);
   // Off-chain addresses fall back to the deepest still-containing level.
-  for (int len = 8; len <= 128; len += 8) {
+  for (int len = 1; len <= 128; ++len) {
     for (const Ipv6Addr& addr : boundary_addrs(Prefix(target, len))) {
       expect_agree(trie, oracle, addr);
     }

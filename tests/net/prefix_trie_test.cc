@@ -75,6 +75,7 @@ TEST(PrefixTrie, ForEachVisitsAllInsertions) {
       {"fe80::/10", 3},
       {"::/0", 4},
       {"2600:9000::/28", 5},
+      {"2001:db8::/40", 6},
   };
   for (const auto& [text, value] : entries) {
     trie.insert(Prefix::must_parse(text), value);
@@ -89,6 +90,15 @@ TEST(PrefixTrie, ForEachVisitsAllInsertions) {
     });
     ASSERT_NE(it, seen.end()) << text;
     EXPECT_EQ(it->second, value) << text;
+  }
+  // Documented order: by network, then length, so a prefix comes
+  // before every prefix it contains.
+  const std::vector<const char*> order = {
+      "::/0", "2001:db8::/32", "2001:db8::/40",
+      "2001:db8:1::/48", "2600:9000::/28", "fe80::/10",
+  };
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(seen[i].first, Prefix::must_parse(order[i])) << i;
   }
 }
 
