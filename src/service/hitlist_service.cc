@@ -54,33 +54,23 @@ HitlistService::HitlistService(v6::simnet::Universe& universe,
                  ? std::vector<v6::tga::TgaKind>(v6::tga::kAllTgas.begin(),
                                                  v6::tga::kAllTgas.end())
                  : config_.kinds),
+      generators_(kinds_, config_.seed),
       scheduler_(config_.rescan),
       bandit_(kinds_.size(), config_.seed, config_.explore_floor) {
-  generators_.reserve(kinds_.size());
-  for (std::size_t i = 0; i < kinds_.size(); ++i) {
-    generators_.emplace_back(
-        kinds_[i], v6::net::derive_seed(config_.seed, /*tag=*/0x76A0 + i));
-    generators_.back().prepare(seeds);
-  }
+  generators_.prepare(seeds);
   for (const Ipv6Addr& addr : seeds) scheduler_.track(addr);
 }
 
 void HitlistService::ingest_seeds(const SeedDelta& delta) {
   if (delta.empty()) return;
-  for (IncrementalTargetGenerator& generator : generators_) {
-    generator.ingest(delta);
-  }
+  generators_.ingest(delta);
   for (const Ipv6Addr& addr : delta.added) scheduler_.track(addr);
 }
 
 ServiceStats HitlistService::stats() const {
   ServiceStats out = stats_;
-  out.incremental_updates = 0;
-  out.full_rebuilds = 0;
-  for (const IncrementalTargetGenerator& generator : generators_) {
-    out.incremental_updates += generator.incremental_updates();
-    out.full_rebuilds += generator.full_rebuilds();
-  }
+  out.incremental_updates = generators_.incremental_updates();
+  out.full_rebuilds = generators_.full_rebuilds();
   return out;
 }
 
@@ -150,7 +140,7 @@ const HitlistEpoch& HitlistService::refresh_once() {
   last_allocation_ = bandit_.allocate(config_.budget_per_cycle);
   for (std::size_t arm = 0; arm < kinds_.size(); ++arm) {
     if (last_allocation_[arm] == 0) continue;
-    v6::tga::TargetGenerator& generator = generators_[arm].generator();
+    v6::tga::TargetGenerator& generator = generators_.generator(arm);
     const std::vector<Ipv6Addr> targets = generator.next_batch(
         static_cast<std::size_t>(last_allocation_[arm]));
     if (targets.empty()) continue;

@@ -24,10 +24,14 @@
 // bit-identical across shard counts (ctest-asserted in
 // tests/service/hitlist_service_test.cc).
 //
-// Threading contract: refresh_once()/ingest_seeds() are writer-side and
-// must be externally serialized (one refresh loop). snapshot(),
-// lookup(), and stats() are safe from any thread concurrently with the
-// writer — the store's epoch publication is the synchronization point.
+// Threading contract: the constructor, refresh_once(), ingest_seeds()
+// and stats() are writer-side and must be externally serialized (one
+// refresh loop). Retraining fans the roster's generators out over
+// runtime::default_jobs() threads (`V6_JOBS`); those threads write the
+// per-arm counters that stats() reads, and have joined by the time the
+// writer call returns. snapshot() and lookup() are safe from any thread
+// concurrently with the writer — the store's epoch publication is the
+// synchronization point.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +125,8 @@ struct ServiceStats {
 class HitlistService {
  public:
   /// Binds the service to `universe` (mutated only when aging is
-  /// enabled) and trains every roster generator on `seeds`. The seeds
+  /// enabled) and trains every roster generator on `seeds`, in
+  /// parallel across the roster. The seeds
   /// enter the rescan schedule immediately, so the first refresh
   /// classifies them.
   HitlistService(v6::simnet::Universe& universe,
@@ -133,8 +138,9 @@ class HitlistService {
   const HitlistEpoch& refresh_once();
 
   /// Applies a seed-update delta to every roster generator
-  /// (incrementally where the model allows) and schedules the added
-  /// addresses for classification next cycle. Writer-side.
+  /// (incrementally where the model allows, in parallel across the
+  /// roster) and schedules the added addresses for classification next
+  /// cycle. Writer-side.
   void ingest_seeds(const SeedDelta& delta);
 
   /// Query facade — safe from any thread, concurrently with the
@@ -143,6 +149,8 @@ class HitlistService {
   bool lookup(const v6::net::Ipv6Addr& addr) const {
     return store_.lookup(addr);
   }
+  /// Writer-side: reads counters the refresh loop and the retraining
+  /// threads write, so call it between writer calls, not beside them.
   ServiceStats stats() const;
 
   const HitlistStore& store() const { return store_; }
@@ -158,7 +166,7 @@ class HitlistService {
   v6::simnet::Universe* universe_;
   ServiceConfig config_;
   std::vector<v6::tga::TgaKind> kinds_;
-  std::vector<IncrementalTargetGenerator> generators_;
+  IncrementalRoster generators_;
   RescanScheduler scheduler_;
   BanditAllocator bandit_;
   HitlistStore store_;

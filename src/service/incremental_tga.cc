@@ -2,83 +2,83 @@
 
 #include <algorithm>
 
+#include "net/rng.h"
+#include "runtime/thread_pool.h"
+
 namespace v6::service {
 
 using v6::net::Ipv6Addr;
 
-IncrementalTargetGenerator::IncrementalTargetGenerator(v6::tga::TgaKind kind,
-                                                       std::uint64_t rng_seed)
-    : kind_(kind),
-      rng_seed_(rng_seed),
-      generator_(v6::tga::make_generator(kind)) {}
+IncrementalRoster::IncrementalRoster(std::span<const v6::tga::TgaKind> kinds,
+                                     std::uint64_t seed) {
+  arms_.reserve(kinds.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    arms_.push_back({.generator = v6::tga::make_generator(kinds[i]),
+                     .rng_seed = v6::net::derive_seed(seed, 0x76A0 + i)});
+  }
+}
 
-void IncrementalTargetGenerator::prepare(std::span<const Ipv6Addr> seeds) {
+void IncrementalRoster::prepare(std::span<const Ipv6Addr> seeds) {
   seeds_.clear();
   seed_set_.clear();
   for (const Ipv6Addr& addr : seeds) {
     if (seed_set_.insert(addr).second) seeds_.push_back(addr);
   }
-  incremental_updates_ = 0;
-  full_rebuilds_ = 0;
-  generator_->prepare(seeds_, rng_seed_);
+  v6::runtime::parallel_for(0, arms_.size(), [this](std::size_t i) {
+    Arm& arm = arms_[i];
+    arm.generator->prepare(seeds_, arm.rng_seed);
+    arm.incremental_updates = 0;
+    arm.full_rebuilds = 0;
+  });
 }
 
-void IncrementalTargetGenerator::rebuild() {
-  ++full_rebuilds_;
-  generator_->prepare(seeds_, rng_seed_);
-}
-
-void IncrementalTargetGenerator::ingest(const SeedDelta& delta) {
-  // Removals first: they force the rebuild anyway, so fresh additions
-  // in the same delta ride along in the retrain.
+void IncrementalRoster::ingest(const SeedDelta& delta) {
+  // Removals first: they force every arm to rebuild anyway, so fresh
+  // additions in the same delta ride along in the retrain.
   bool removed_any = false;
-  if (!delta.removed.empty()) {
-    for (const Ipv6Addr& addr : delta.removed) {
-      if (seed_set_.erase(addr) > 0) removed_any = true;
-    }
-    if (removed_any) {
-      std::erase_if(seeds_, [this](const Ipv6Addr& addr) {
-        return !seed_set_.contains(addr);
-      });
-    }
+  for (const Ipv6Addr& addr : delta.removed) {
+    if (seed_set_.erase(addr) > 0) removed_any = true;
+  }
+  if (removed_any) {
+    std::erase_if(seeds_, [this](const Ipv6Addr& addr) {
+      return !seed_set_.contains(addr);
+    });
   }
 
   std::vector<Ipv6Addr> fresh;
   fresh.reserve(delta.added.size());
   for (const Ipv6Addr& addr : delta.added) {
-    if (seed_set_.contains(addr)) continue;
+    if (!seed_set_.insert(addr).second) continue;
     fresh.push_back(addr);
-  }
-
-  if (removed_any) {
-    // Models cannot unlearn; merge the additions into the list and
-    // retrain once from the filtered result.
-    for (const Ipv6Addr& addr : fresh) {
-      seed_set_.insert(addr);
-      seeds_.push_back(addr);
-    }
-    rebuild();
-    return;
-  }
-  if (fresh.empty()) return;  // delta was a no-op
-
-  // Addition-only delta: let the model fold it in place if it can.
-  // absorb_seeds registers the addresses in the generator's own seed
-  // bookkeeping; ours is updated either way.
-  const bool absorbed = generator_->absorb_seeds(fresh);
-  if (!absorbed) {
-    for (const Ipv6Addr& addr : fresh) {
-      seed_set_.insert(addr);
-      seeds_.push_back(addr);
-    }
-    rebuild();
-    return;
-  }
-  for (const Ipv6Addr& addr : fresh) {
-    seed_set_.insert(addr);
     seeds_.push_back(addr);
   }
-  ++incremental_updates_;
+  if (!removed_any && fresh.empty()) return;  // delta was a no-op
+
+  // The ledger and `fresh` are read-only from here until the join.
+  // Addition-only deltas fold in place where the model can (absorb_seeds
+  // never reads the ledger); models cannot unlearn, so a removal
+  // retrains every arm from the filtered ledger.
+  v6::runtime::parallel_for(0, arms_.size(), [&](std::size_t i) {
+    Arm& arm = arms_[i];
+    if (!removed_any && arm.generator->absorb_seeds(fresh)) {
+      ++arm.incremental_updates;
+      return;
+    }
+    arm.generator->prepare(seeds_, arm.rng_seed);
+    ++arm.full_rebuilds;
+  });
+}
+
+std::uint64_t IncrementalRoster::incremental_updates() const {
+  std::uint64_t total = 0;
+  for (const Arm& arm : arms_) total += arm.incremental_updates;
+  return total;
+}
+
+std::uint64_t IncrementalRoster::full_rebuilds() const {
+  std::uint64_t total = 0;
+  for (const Arm& arm : arms_) total += arm.full_rebuilds;
+  return total;
 }
 
 }  // namespace v6::service

@@ -1,18 +1,22 @@
-// Tests for the incremental TGA adapter (src/service/incremental_tga.h):
+// Tests for the incremental TGA roster (src/service/incremental_tga.h):
 // which deltas fold in place (6Hit's absorb_seeds) vs force a full
 // retrain (removals, models without incremental support), the merged
-// seed-list bookkeeping, and the emitted-set preservation that makes
-// the incremental path worth having — an absorbed delta must not cause
-// the generator to re-emit candidates it already produced.
+// seed-ledger bookkeeping, the emitted-set preservation that makes the
+// incremental path worth having — an absorbed delta must not cause the
+// generator to re-emit candidates it already produced — and that the
+// parallel roster drives each generator exactly as a standalone one.
 #include "service/incremental_tga.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "net/ipv6.h"
+#include "net/rng.h"
 #include "simnet/universe.h"
 #include "testutil/fixtures.h"
 #include "tga/registry.h"
@@ -20,7 +24,7 @@
 namespace {
 
 using v6::net::Ipv6Addr;
-using v6::service::IncrementalTargetGenerator;
+using v6::service::IncrementalRoster;
 using v6::service::SeedDelta;
 using v6::tga::TgaKind;
 
@@ -36,8 +40,13 @@ std::vector<Ipv6Addr> universe_seeds(std::size_t skip, std::size_t count) {
   return seeds;
 }
 
+IncrementalRoster one_arm(TgaKind kind) {
+  const TgaKind kinds[] = {kind};
+  return IncrementalRoster(kinds, /*seed=*/7);
+}
+
 TEST(IncrementalTga, SixHitAbsorbsAdditionOnlyDeltas) {
-  IncrementalTargetGenerator tga(TgaKind::kSixHit, /*rng_seed=*/7);
+  IncrementalRoster tga = one_arm(TgaKind::kSixHit);
   tga.prepare(universe_seeds(0, 200));
 
   SeedDelta delta;
@@ -50,7 +59,7 @@ TEST(IncrementalTga, SixHitAbsorbsAdditionOnlyDeltas) {
 }
 
 TEST(IncrementalTga, ModelsWithoutIncrementalSupportFallBackToRebuild) {
-  IncrementalTargetGenerator tga(TgaKind::kDet, /*rng_seed=*/7);
+  IncrementalRoster tga = one_arm(TgaKind::kDet);
   tga.prepare(universe_seeds(0, 200));
 
   SeedDelta delta;
@@ -63,7 +72,7 @@ TEST(IncrementalTga, ModelsWithoutIncrementalSupportFallBackToRebuild) {
 }
 
 TEST(IncrementalTga, RemovalsAlwaysForceARebuild) {
-  IncrementalTargetGenerator tga(TgaKind::kSixHit, /*rng_seed=*/7);
+  IncrementalRoster tga = one_arm(TgaKind::kSixHit);
   const std::vector<Ipv6Addr> seeds = universe_seeds(0, 200);
   tga.prepare(seeds);
 
@@ -80,7 +89,7 @@ TEST(IncrementalTga, RemovalsAlwaysForceARebuild) {
 }
 
 TEST(IncrementalTga, DuplicateAdditionsAndUnknownRemovalsAreNoOps) {
-  IncrementalTargetGenerator tga(TgaKind::kSixHit, /*rng_seed=*/7);
+  IncrementalRoster tga = one_arm(TgaKind::kSixHit);
   const std::vector<Ipv6Addr> seeds = universe_seeds(0, 200);
   tga.prepare(seeds);
 
@@ -96,10 +105,19 @@ TEST(IncrementalTga, DuplicateAdditionsAndUnknownRemovalsAreNoOps) {
   tga.ingest(SeedDelta{});  // literally empty
   EXPECT_EQ(tga.incremental_updates(), 0u);
   EXPECT_EQ(tga.full_rebuilds(), 0u);
+
+  // A new address listed twice in one delta is merged once.
+  const Ipv6Addr fresh = universe_seeds(200, 1).front();
+  SeedDelta twice;
+  twice.added = {fresh, fresh};
+  tga.ingest(twice);
+  EXPECT_EQ(tga.incremental_updates(), 1u);
+  EXPECT_EQ(tga.full_rebuilds(), 0u);
+  EXPECT_EQ(tga.seeds().size(), 201u);
 }
 
 TEST(IncrementalTga, PrepareResetsTheIngestStatistics) {
-  IncrementalTargetGenerator tga(TgaKind::kSixHit, /*rng_seed=*/7);
+  IncrementalRoster tga = one_arm(TgaKind::kSixHit);
   tga.prepare(universe_seeds(0, 200));
   SeedDelta delta;
   delta.added = universe_seeds(200, 20);
@@ -117,10 +135,10 @@ TEST(IncrementalTga, PrepareResetsTheIngestStatistics) {
 // after it. (A full retrain wipes the emitted set — that is exactly
 // the re-probing waste the incremental path avoids.)
 TEST(IncrementalTga, AbsorbedDeltasDoNotCauseReEmission) {
-  IncrementalTargetGenerator tga(TgaKind::kSixHit, /*rng_seed=*/7);
+  IncrementalRoster tga = one_arm(TgaKind::kSixHit);
   tga.prepare(universe_seeds(0, 200));
 
-  const std::vector<Ipv6Addr> before = tga.generator().next_batch(500);
+  const std::vector<Ipv6Addr> before = tga.generator(0).next_batch(500);
   ASSERT_FALSE(before.empty());
 
   SeedDelta delta;
@@ -128,13 +146,73 @@ TEST(IncrementalTga, AbsorbedDeltasDoNotCauseReEmission) {
   tga.ingest(delta);
   ASSERT_EQ(tga.incremental_updates(), 1u);
 
-  const std::vector<Ipv6Addr> after = tga.generator().next_batch(500);
+  const std::vector<Ipv6Addr> after = tga.generator(0).next_batch(500);
   const std::unordered_set<Ipv6Addr, v6::net::Ipv6AddrHash> seen(
       before.begin(), before.end());
   for (const Ipv6Addr& addr : after) {
     EXPECT_FALSE(seen.contains(addr))
         << "re-emitted a candidate from before the ingest";
   }
+}
+
+// The roster retrains its arms in parallel over one shared ledger. Each
+// arm must still see exactly the calls a standalone generator of its
+// kind would: prepare() on the merged seeds, absorb_seeds() of the new
+// addresses where the model accepts them, and a full prepare() from the
+// filtered ledger after a removal — all with derive_seed(seed,
+// 0x76A0 + arm). Equal next_batch() output after every step shows it.
+TEST(IncrementalTga, RosterMatchesStandaloneGenerators) {
+  constexpr std::uint64_t kSeed = 42;
+  const auto& kinds = v6::tga::kAllTgas;
+  IncrementalRoster roster(kinds, kSeed);
+
+  std::vector<std::unique_ptr<v6::tga::TargetGenerator>> standalone;
+  std::vector<std::uint64_t> rng_seeds;
+  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+    standalone.push_back(v6::tga::make_generator(kinds[arm]));
+    rng_seeds.push_back(v6::net::derive_seed(kSeed, 0x76A0 + arm));
+  }
+  const auto expect_same_batches = [&](const char* step) {
+    for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+      const std::vector<Ipv6Addr> want = standalone[arm]->next_batch(1000);
+      EXPECT_FALSE(want.empty()) << step << ": " << standalone[arm]->name();
+      EXPECT_EQ(roster.generator(arm).next_batch(1000), want)
+          << step << ": " << standalone[arm]->name();
+    }
+  };
+
+  std::vector<Ipv6Addr> ledger = universe_seeds(0, 300);
+  roster.prepare(ledger);
+  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+    standalone[arm]->prepare(ledger, rng_seeds[arm]);
+  }
+  expect_same_batches("prepare");
+
+  SeedDelta additions;
+  additions.added = universe_seeds(300, 40);
+  roster.ingest(additions);
+  ledger.insert(ledger.end(), additions.added.begin(), additions.added.end());
+  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+    if (!standalone[arm]->absorb_seeds(additions.added)) {
+      standalone[arm]->prepare(ledger, rng_seeds[arm]);
+    }
+  }
+  EXPECT_EQ(roster.incremental_updates(), 1u);  // 6Hit
+  EXPECT_EQ(roster.full_rebuilds(), 7u);
+  expect_same_batches("addition-only delta");
+
+  SeedDelta removal;
+  removal.removed = {ledger[5]};
+  roster.ingest(removal);
+  ledger.erase(ledger.begin() + 5);
+  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+    standalone[arm]->prepare(ledger, rng_seeds[arm]);
+  }
+  EXPECT_EQ(roster.incremental_updates(), 1u);
+  EXPECT_EQ(roster.full_rebuilds(), 15u);
+  ASSERT_TRUE(std::equal(ledger.begin(), ledger.end(), roster.seeds().begin(),
+                         roster.seeds().end()));
+  expect_same_batches("removal delta");
 }
 
 }  // namespace
