@@ -1,7 +1,7 @@
 // Shared configuration validation (the satellite of the ScanSession /
 // service redesign that unified the three hand-rolled bounds checks).
 //
-// Every public config struct — PipelineConfig, SweepSpec/ScanSession,
+// Every public config struct — PipelineConfig, ScanSession,
 // StreamScanOptions, service::ServiceConfig — exposes a `validate()`
 // built from the helpers below, so an invalid config fails identically
 // everywhere: a ConfigError whose message is always

@@ -52,7 +52,7 @@ struct PipelineConfig {
   /// golden-locked legacy path. >= 1 routes scans through the streaming
   /// StreamScanner (probe/stream_scanner.h) with that many shard
   /// workers: sharded cyclic iteration, stateless per-probe replies, and
-  /// a bounded producer→prober→receiver pipeline. Streaming outcomes
+  /// a merge in canonical order after the workers join. Streaming outcomes
   /// are shard-count-invariant but differ from the batch engine's for
   /// targets whose replies are stochastic (different RNG model; see
   /// docs/SCANNER.md).

@@ -2,10 +2,10 @@
 //
 // A session binds the immutable fixtures of a measurement — the
 // simulated Universe, the published AliasList, and an optional parent
-// Telemetry — at construction, by reference, so the raw-pointer wiring
-// the old SweepSpec needed (`spec.universe = &u` with a runtime null
-// check) cannot be mis-assembled. Everything that varies per sweep
-// (TGA kinds, seeds, pipeline config, jobs) chains fluently:
+// Telemetry — at construction, by reference, so raw-pointer wiring with
+// a runtime null check (`spec.universe = &u`) cannot be mis-assembled.
+// Everything that varies per sweep (TGA kinds, seeds, pipeline config,
+// jobs) chains fluently:
 //
 //   const auto runs = ScanSession(universe, alias_list)
 //                         .with_seeds(seeds)
@@ -22,9 +22,8 @@
 // The continuous service (src/service) builds on the same object model:
 // HitlistService holds a session-shaped binding (universe + alias list
 // + telemetry) for the lifetime of the daemon and drives refresh scans
-// through it. The legacy spelling `run_sweep(SweepSpec)` survives as a
-// [[deprecated]] forwarder in experiment/runner.h with zero in-tree
-// callers (v6lint `deprecated-api` enforces that).
+// through it. ScanSession is the only sweep entry point; the v6lint
+// `deprecated-api` rule keeps the retired positional spellings out.
 #pragma once
 
 #include <span>

@@ -81,8 +81,9 @@ inline Rng make_rng(std::uint64_t master, std::uint64_t tag = 0) {
 /// A counter-based SplitMix64 URBG: draw k is splitmix64(seed + k).
 /// Construction is two stores (no 624-word mt19937 table), which is what
 /// the streaming scanner's stateless transport needs — it builds a fresh
-/// engine per probe from a (seed, addr, attempt) hash so every reply is
-/// a pure function of the probe, independent of ordering and sharding.
+/// engine per probe from a (seed, addr, type, attempt) hash so every
+/// reply is a pure function of the probe, independent of ordering and
+/// sharding.
 /// Statistically much weaker than mt19937_64 over long streams; only use
 /// it where a handful of draws per seed is the pattern.
 class SplitMixRng {

@@ -6,9 +6,9 @@
 //   span    -> "X" (complete) event; ts/dur in microseconds; the event
 //              name is the last path segment and args.path the full path.
 //              Rows (tids) are assigned per top-level path segment in
-//              first-appearance order — run_sweep replays per-run buffers
-//              in slot order, so each "tga:<NAME>" run gets its own
-//              deterministic row.
+//              first-appearance order — ScanSession::sweep replays
+//              per-run buffers in slot order, so each "tga:<NAME>" run
+//              gets its own deterministic row.
 //   probe   -> "i" (instant) event on a shared "probes" row.
 //   message -> "i" (instant) event on a shared "messages" row.
 //   sample  -> "C" (counter) track named by the metric, ts = virtual

@@ -1,10 +1,10 @@
 // The two shipped EventSinks.
 //
 //   MemorySink    — append-only in-memory buffer. Tests assert on it, and
-//                   run_sweep gives every parallel TGA run a private one
-//                   so buffered events can be replayed into the real sink
-//                   in slot order (deterministic traces under any jobs
-//                   count).
+//                   ScanSession::sweep gives every parallel TGA run a
+//                   private one so buffered events can be replayed into
+//                   the real sink in slot order (deterministic traces
+//                   under any jobs count).
 //   JsonLinesSink — one JSON object per line, either to a borrowed
 //                   ostream or to a file it owns. The format is described
 //                   in docs/OBSERVABILITY.md.

@@ -13,7 +13,7 @@
 // the same Telemetry currently open on this thread". Two Telemetry
 // instances never nest into each other, which is what keeps paths
 // deterministic when a thread pool interleaves runs (each run owns a
-// private Telemetry; see experiment/runner.cc).
+// private Telemetry; see experiment/session.cc).
 #pragma once
 
 #include <atomic>

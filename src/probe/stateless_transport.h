@@ -6,8 +6,11 @@
 // contract (docs/SCANNER.md) is that merged shard outcomes are
 // bit-identical to a single-shard scan. StatelessSimTransport instead
 // builds a fresh counter-based engine per send(), keyed by
-// (seed, addr, attempt): every reply is a pure function of the probe
-// itself, independent of ordering, interleaving, and shard count.
+// (seed, addr, type, attempt): every reply is a pure function of the
+// probe itself, independent of ordering, interleaving, and shard count.
+// The type is part of the key so each probe type sent to an address
+// draws its own loss coin, as separate packets on a live wire do; ICMP
+// (type 0) adds nothing to the key.
 //
 // `attempt` is tracked by counting consecutive sends to the same
 // address — exactly the retransmission pattern the scanner emits — so a
@@ -47,7 +50,7 @@ class StatelessSimTransport final : public ProbeTransport {
     v6::net::SplitMixRng rng(
         v6::net::splitmix64(v6::net::splitmix64(base_ ^ addr.hi()) ^
                             addr.lo()) ^
-        attempt_);
+        attempt_ ^ (static_cast<std::uint64_t>(type) * kTypeMix));
     const v6::net::ProbeReply reply = universe_->probe(addr, type, rng);
     last_addr_ = addr;
     last_replied_ = reply != v6::net::ProbeReply::kTimeout;
@@ -69,6 +72,9 @@ class StatelessSimTransport final : public ProbeTransport {
   }
 
  private:
+  /// Odd multiplier spreading the probe type over all 64 key bits.
+  static constexpr std::uint64_t kTypeMix = 0x9E3779B97F4A7C15ULL;
+
   const v6::simnet::Universe* universe_;
   std::uint64_t base_;
   std::uint64_t packets_ = 0;

@@ -1,7 +1,5 @@
 #include "probe/stream_scanner.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -13,11 +11,9 @@
 #include "net/rng.h"
 #include "obs/watchdog.h"
 #include "probe/instrumented_transport.h"
-#include "probe/probe_auth.h"
 #include "probe/rate_limiter.h"
 #include "probe/shard_walk.h"
 #include "probe/stateless_transport.h"
-#include "runtime/bounded_queue.h"
 #include "runtime/worker_group.h"
 
 namespace v6::probe {
@@ -96,6 +92,9 @@ struct StreamScanner::Lane {
   /// Adaptive-backoff streaks, per lane: the back-pressure control loop
   /// reacts to the shard's own probe sequence (docs/SCANNER.md caveat).
   std::unordered_map<Ipv6Addr, int, v6::net::Ipv6AddrHash> timeout_streaks;
+  /// One byte per kept target of this shard's slice, in walk order:
+  /// 0 = blocked, otherwise 1 + the reply (multi-shard scans only).
+  std::vector<std::uint8_t> outcomes;
 
   // Per-scan tallies, reset by scan() before the workers start.
   std::uint64_t blocked = 0;
@@ -109,24 +108,9 @@ struct StreamScanner::Lane {
 
 namespace {
 
-/// A probe target in flight: the index into the caller's span plus its
-/// global cycle position (the canonical merge key).
-using TargetBatch = std::vector<ShardItem>;
-
-/// A classified wire event headed for the receiver. The token is the
-/// stateless MAC the receiver validates before classifying.
-struct ReplyRecord {
-  Ipv6Addr addr;
-  std::uint64_t pos = 0;
-  std::uint64_t token = 0;
-  ProbeReply reply = ProbeReply::kTimeout;
-};
-
-using ReplyBatch = std::vector<ReplyRecord>;
-
-/// Producer-side iterator: the seeded permutation walk, or a plain
-/// strided index walk when randomize_order is off (pos == index keeps
-/// the merge key meaningful either way).
+/// One shard's iterator: the seeded permutation walk, or a plain
+/// strided index walk when randomize_order is off (pos == index, so a
+/// position's shard is pos mod S either way).
 struct WalkAdapter {
   std::optional<ShardWalk> perm;
   std::uint64_t x = 0;
@@ -148,8 +132,6 @@ struct WalkAdapter {
 void StreamScanOptions::validate() const {
   const v6::check::Validator v("StreamScanOptions");
   v.positive(shards, "shards");
-  v.positive(batch, "batch");
-  v.positive(queue_capacity, "queue_capacity");
   v.non_negative(scan.max_retries, "scan.max_retries");
   v.positive(scan.max_pps, "scan.max_pps");
   v.non_negative(scan.probe_timeout_s, "scan.probe_timeout_s");
@@ -290,18 +272,14 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   ScanStats stats;
   stats.targets = targets.size();
   // Wall-side observability state: stage heartbeats for the watchdog
-  // and queue totals captured before the stage queues die. All of it
-  // feeds `.wall`-suffixed metrics, exempt from the shard/jobs
-  // determinism contract (docs/OBSERVABILITY.md).
+  // and the scan's wall start, exempt from the shard/jobs determinism
+  // contract (docs/OBSERVABILITY.md).
   v6::obs::StallWatchdog* const watchdog = options_.watchdog;
-  std::vector<v6::runtime::QueueTotals> target_totals;
-  v6::runtime::QueueTotals reply_totals;
-  bool have_queue_totals = false;
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Dedup on the caller thread: one flat-table pass marks the first
-  // occurrence of each address. The producer then streams indices with
-  // keep_[i] set — no uniquified copy of the target list is built.
+  // occurrence of each address. The walks then skip indices with
+  // keep_[i] unset — no uniquified copy of the target list is built.
   dedup_.clear();
   dedup_.reserve(targets.size());
   keep_.assign(targets.size(), 0);
@@ -324,6 +302,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
     lane->backoffs = 0;
     lane->backoff_nanos = 0;
     lane->wait_nanos = 0;
+    lane->outcomes.clear();
     lane->packets_before = lane->transport->packets_sent();
   }
 
@@ -333,21 +312,21 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   if (options_.scan.randomize_order) {
     plan.emplace(targets.size(), options_.scan.seed);
   }
-  auto make_walk = [&](unsigned shard) {
+  auto make_walk = [&](unsigned shard, unsigned count) {
     WalkAdapter walk;
     if (plan.has_value()) {
-      walk.perm.emplace(*plan, shard, num_shards);
+      walk.perm.emplace(*plan, shard, count);
     } else {
       walk.x = shard;
       walk.n = targets.size();
-      walk.stride = num_shards;
+      walk.stride = count;
     }
     return walk;
   };
 
-  // Classification fold: the only stage that touches ScanStats and the
+  // Classification fold: the only step that touches ScanStats and the
   // caller's callback. Runs on the caller thread in canonical
-  // (cycle-position) order in both execution modes.
+  // (cycle-position) order for every shard count.
   auto classify = [&](const Ipv6Addr& addr, ProbeReply reply) {
     switch (reply) {
       case ProbeReply::kTimeout:
@@ -367,19 +346,16 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   };
 
   if (num_shards == 1) {
-    // Degenerate pipeline: with one shard nothing can overlap, so the
-    // stages fuse into a single loop on the caller thread. The walk
-    // already emits in canonical pos order and no record ever crosses a
-    // thread boundary, so there is nothing to queue, tokenize, or merge
-    // — the queues, reply records, and stateless MACs below are the
-    // machinery of the multi-shard hand-off, not of the scan itself.
-    // bench_throughput's single-core gate holds this loop to the batch
-    // engine's per-probe cost, and the threaded merge must stay
-    // bit-identical to it (stream_scanner_test compares the two).
+    // One shard: walk, probe and classify fuse into a single loop on the
+    // caller thread. The walk already emits in canonical pos order, so
+    // there is nothing to keep or merge. bench_throughput's single-core
+    // gate holds this loop to the batch engine's per-probe cost, and the
+    // multi-shard merge must stay bit-identical to it
+    // (stream_scanner_test compares the two).
     Lane& lane = *lanes_[0];
     ArmedStage stage(watchdog != nullptr ? &watchdog->stage("stream.scan")
                                          : nullptr);
-    WalkAdapter walk = make_walk(0);
+    WalkAdapter walk = make_walk(0, 1);
     ShardItem item;
     while (walk.next(&item)) {
       if (keep_[item.index] == 0) continue;
@@ -395,78 +371,14 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
       stage.beat();
     }
   } else {
-    const std::uint64_t auth_key = probe_auth_key(options_.scan.seed);
-
-    // Prober stage: probes one target batch on `lane`, appending one
-    // authenticated ReplyRecord per probed address. Touches only the
-    // lane's own state — safe on any thread that owns the lane.
-    auto probe_batch = [&](Lane& lane, const TargetBatch& batch,
-                           ReplyBatch* out) {
-      for (const ShardItem& item : batch) {
-        const Ipv6Addr& addr = targets[item.index];
-        if (blocklist_ != nullptr && blocklist_->blocked(addr)) {
-          ++lane.blocked;
-          continue;
-        }
-        const ProbeReply reply = lane_probe(lane, addr, type);
-        note_reply(lane, addr, reply);
-        ++lane.probed;
-        out->push_back(ReplyRecord{addr, item.pos,
-                                   probe_token_keyed(addr, auth_key), reply});
-      }
-    };
-
-    struct ReplayRecord {
-      Ipv6Addr addr;
-      std::uint64_t pos = 0;
-      ProbeReply reply = ProbeReply::kTimeout;
-    };
-    std::vector<ReplayRecord> replay;
-    replay.reserve(unique_count);
-
-    // Receiver stage: validates tokens and folds a reply batch into the
-    // replay buffer. Runs on the caller thread.
-    auto absorb = [&](const ReplyBatch& batch) {
-      for (const ReplyRecord& record : batch) {
-        if (!validate_probe_keyed(record.addr, auth_key, record.token)) {
-          ++invalid_replies_;
-          continue;
-        }
-        replay.push_back(ReplayRecord{record.addr, record.pos, record.reply});
-      }
-    };
-
-    // Queues before workers: locals die in reverse order, so the worker
-    // group (which joins its threads) always outlives the queues.
-    std::vector<std::unique_ptr<v6::runtime::BoundedQueue<TargetBatch>>>
-        target_queues;
-    target_queues.reserve(num_shards);
-    for (unsigned s = 0; s < num_shards; ++s) {
-      target_queues.push_back(
-          std::make_unique<v6::runtime::BoundedQueue<TargetBatch>>(
-              options_.queue_capacity));
-    }
-    v6::runtime::BoundedQueue<ReplyBatch> reply_queue(options_.queue_capacity *
-                                                      num_shards);
-    std::atomic<unsigned> live_probers{num_shards};
-    // Stage heartbeats (armed inside each worker, disarmed on every exit
-    // path) and a live reply-queue depth gauge the receiver refreshes
-    // per batch, so an admin scrape mid-scan sees current backpressure.
-    v6::obs::Heartbeat* const producer_hb =
-        watchdog != nullptr ? &watchdog->stage("stream.producer") : nullptr;
-    v6::obs::Heartbeat* const receiver_hb =
-        watchdog != nullptr ? &watchdog->stage("stream.receiver") : nullptr;
+    // Each shard walks its own slice of the cycle on its own lane and
+    // keeps one byte per kept target: 0 when the blocklist drops it,
+    // otherwise 1 + the reply. Nothing crosses a thread until join().
     std::vector<v6::obs::Heartbeat*> prober_hbs(num_shards, nullptr);
     if (watchdog != nullptr) {
       for (unsigned s = 0; s < num_shards; ++s) {
         prober_hbs[s] = &watchdog->stage("stream.prober." + std::to_string(s));
       }
-    }
-    v6::obs::Gauge* reply_depth_gauge = nullptr;
-    if (v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
-        telemetry != nullptr) {
-      reply_depth_gauge =
-          &telemetry->registry().gauge("stream.queue.reply.depth.wall");
     }
     v6::runtime::WorkerGroup workers;
     // join() can only rethrow one exception; route the rest through the
@@ -491,126 +403,54 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
             telemetry->emit(event);
           });
     }
-
-    // --- Producer: walks the permutation, decimated across shards. ----
-    workers.spawn([this, num_shards, &target_queues, &make_walk,
-                   producer_hb]() {
-      ArmedStage stage(producer_hb);
-      struct CloseAll {
-        std::vector<std::unique_ptr<v6::runtime::BoundedQueue<TargetBatch>>>*
-            queues;
-        ~CloseAll() {
-          for (auto& queue : *queues) queue->close();
-        }
-      } close_all{&target_queues};
-
-      std::vector<WalkAdapter> walks;
-      walks.reserve(num_shards);
-      for (unsigned s = 0; s < num_shards; ++s) walks.push_back(make_walk(s));
-      std::vector<bool> done(num_shards, false);
-      unsigned live = num_shards;
-      // Round-robin one batch per live shard per cycle: no queue starves.
-      while (live > 0) {
-        for (unsigned s = 0; s < num_shards; ++s) {
-          if (done[s]) continue;
-          TargetBatch batch;
-          batch.reserve(options_.batch);
-          ShardItem item;
-          bool more = true;
-          while (batch.size() < options_.batch) {
-            if (!walks[s].next(&item)) {
-              more = false;
-              break;
-            }
-            if (keep_[item.index] != 0) batch.push_back(item);
-          }
-          if (!batch.empty() && !target_queues[s]->push(std::move(batch))) {
-            return;  // consumer aborted; close_all shuts the rest down
-          }
-          stage.beat();
-          if (!more) {
-            target_queues[s]->close();
-            done[s] = true;
-            --live;
-          }
-        }
-      }
-    });
-
-    // --- Probers: one worker per shard. -------------------------------
     for (unsigned s = 0; s < num_shards; ++s) {
-      workers.spawn([this, s, &target_queues, &reply_queue, &live_probers,
-                     &probe_batch, &prober_hbs]() {
+      workers.spawn([this, s, num_shards, targets, type, &make_walk,
+                     &prober_hbs]() {
         Lane& lane = *lanes_[s];
         ArmedStage stage(prober_hbs[s]);
-        struct ProberGuard {
-          v6::runtime::BoundedQueue<TargetBatch>* own;
-          v6::runtime::BoundedQueue<ReplyBatch>* replies;
-          std::atomic<unsigned>* live;
-          ~ProberGuard() {
-            // Unblock the producer, and let the last prober out close
-            // the reply stream — on every exit path, including throws.
-            own->close();
-            if (live->fetch_sub(1) == 1) replies->close();
+        WalkAdapter walk = make_walk(s, num_shards);
+        ShardItem item;
+        while (walk.next(&item)) {
+          if (keep_[item.index] == 0) continue;
+          const Ipv6Addr& addr = targets[item.index];
+          if (blocklist_ != nullptr && blocklist_->blocked(addr)) {
+            ++lane.blocked;
+            lane.outcomes.push_back(0);
+            continue;
           }
-        } exit_guard{target_queues[s].get(), &reply_queue, &live_probers};
-
-        TargetBatch batch;
-        while (target_queues[s]->pop(&batch)) {
-          ReplyBatch out;
-          out.reserve(batch.size());
-          probe_batch(lane, batch, &out);
-          if (!out.empty() && !reply_queue.push(std::move(out))) {
-            return;  // receiver gone
-          }
+          const ProbeReply reply = lane_probe(lane, addr, type);
+          note_reply(lane, addr, reply);
+          ++lane.probed;
+          lane.outcomes.push_back(
+              static_cast<std::uint8_t>(1 + static_cast<int>(reply)));
           stage.beat();
         }
       });
     }
+    workers.join();  // all joined; rethrows the first shard's failure
 
-    // --- Receiver: this thread. ---------------------------------------
-    try {
-      {
-        ArmedStage stage(receiver_hb);
-        ReplyBatch batch;
-        while (reply_queue.pop(&batch)) {
-          absorb(batch);
-          stage.beat();
-          if (reply_depth_gauge != nullptr) {
-            reply_depth_gauge->set(
-                static_cast<std::int64_t>(reply_queue.size()));
-          }
-        }
+    // Canonical order: re-walk the one-shard cycle, which visits
+    // positions in increasing order — exactly the order the fused loop
+    // probes in. Position p belongs to shard p mod S, and each shard
+    // kept its outcomes in its own walk order, so the next unread byte
+    // of shard p mod S is position p's.
+    std::vector<std::size_t> cursors(num_shards, 0);
+    WalkAdapter walk = make_walk(0, 1);
+    ShardItem item;
+    while (walk.next(&item)) {
+      if (keep_[item.index] == 0) continue;
+      const std::size_t s = item.pos % num_shards;
+      const std::vector<std::uint8_t>& outcomes = lanes_[s]->outcomes;
+      V6_INVARIANT_MSG(cursors[s] < outcomes.size(),
+                       "a shard kept fewer outcomes than its slice");
+      const std::uint8_t outcome = outcomes[cursors[s]++];
+      if (outcome != 0) {
+        classify(targets[item.index], static_cast<ProbeReply>(outcome - 1));
       }
-      workers.join();  // rethrows the first producer/prober failure
-    } catch (...) {
-      for (auto& queue : target_queues) queue->close();
-      reply_queue.close();
-      try {
-        workers.join();
-      } catch (...) {  // the original exception wins
-      }
-      throw;
     }
-
-    // Queue totals survive the queues (locals of this branch) so the
-    // telemetry block below can publish them.
-    target_totals.reserve(num_shards);
-    for (const auto& queue : target_queues) {
-      target_totals.push_back(queue->totals());
-    }
-    reply_totals = reply_queue.totals();
-    have_queue_totals = true;
-
-    // Canonical order: merge the shard streams by ascending cycle
-    // position — exactly the order the fused single-shard loop probes
-    // in — then fold them through the same classifier.
-    std::sort(replay.begin(), replay.end(),
-              [](const ReplayRecord& a, const ReplayRecord& b) {
-                return a.pos < b.pos;
-              });
-    for (const ReplayRecord& record : replay) {
-      classify(record.addr, record.reply);
+    for (unsigned s = 0; s < num_shards; ++s) {
+      V6_ENSURE_MSG(cursors[s] == lanes_[s]->outcomes.size(),
+                    "every shard's outcomes must be consumed");
     }
   }
 
@@ -660,33 +500,14 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
         .record(static_cast<double>(stats.targets));
     registry.histogram("scanner.batch.virtual_seconds")
         .record(stats.virtual_seconds);
-    // Backpressure plane (docs/OBSERVABILITY.md "Live introspection"):
-    // per-queue totals and the scan's wall duration. Everything here is
-    // scheduling-dependent, hence the `.wall` suffix — the equivalence
-    // suites exempt these names from the shard/jobs bit-identity checks.
+    // The scan's wall duration (docs/OBSERVABILITY.md "Live
+    // introspection"): scheduling-dependent, hence the `.wall` suffix —
+    // the equivalence suites exempt it from the shard/jobs bit-identity
+    // checks.
     registry.gauge("stream.scan.wall_nanos.wall")
         .set(std::chrono::duration_cast<std::chrono::nanoseconds>(
                  std::chrono::steady_clock::now() - wall_start)
                  .count());
-    if (have_queue_totals) {
-      const auto publish = [&registry](const std::string& prefix,
-                                       const v6::runtime::QueueTotals&
-                                           totals) {
-        registry.gauge(prefix + ".pushed.wall")
-            .set(static_cast<std::int64_t>(totals.pushed));
-        registry.gauge(prefix + ".hwm.wall")
-            .set(static_cast<std::int64_t>(totals.high_watermark));
-        registry.gauge(prefix + ".blocked_push_nanos.wall")
-            .set(static_cast<std::int64_t>(totals.blocked_push_nanos));
-        registry.gauge(prefix + ".blocked_pop_nanos.wall")
-            .set(static_cast<std::int64_t>(totals.blocked_pop_nanos));
-      };
-      for (std::size_t s = 0; s < target_totals.size(); ++s) {
-        publish("stream.queue.target." + std::to_string(s),
-                target_totals[s]);
-      }
-      publish("stream.queue.reply", reply_totals);
-    }
   }
   return stats;
 }

@@ -1,38 +1,34 @@
 // The streaming stateless scan engine (docs/SCANNER.md).
 //
 // Scanner (scanner.h) materializes, dedups, and shuffles the whole
-// target list, then probes it sequentially. StreamScanner decouples the
-// scan into a bounded producer→prober→receiver pipeline:
+// target list, then probes it sequentially. StreamScanner instead walks
+// a seeded full-cycle permutation of the target index space
+// (shard_walk.h) — no shuffle buffer is ever materialized — and splits
+// the cycle into shards the ZMap way: each shard walks its own slice on
+// its own worker, with its own transport chain, rate-limiter slice, and
+// retry/backoff state, and keeps one byte per target it owns (blocked,
+// or the reply). After the workers join, the calling thread re-walks
+// the one-shard order, takes each position's reply from its shard's
+// next byte, classifies it, and folds per-shard tallies in shard order.
+// Nothing is shared between workers, so there is no queue, no lock, and
+// no reply to authenticate.
 //
-//   producer  — walks a seeded full-cycle permutation of the target
-//               index space (shard_walk.h), decimated across shards; no
-//               shuffle buffer is ever materialized.
-//   probers   — one worker per shard, each with its own transport chain,
-//               rate-limiter slice, and retry/backoff state; probes are
-//               validated statelessly (probe_auth.h) so no pending-map
-//               is shared.
-//   receiver  — the calling thread: validates tokens, classifies
-//               replies, and folds per-shard tallies in shard order.
-//
-// Stages are connected by fixed-capacity BoundedQueues
-// (runtime/bounded_queue.h), so memory stays bounded no matter how far
-// the producer runs ahead.
-//
-// With shards == 1 the pipeline degenerates: the stages fuse into one
-// loop on the calling thread — no worker threads, no queues, no reply
-// records (those are the machinery of the multi-shard hand-off, not of
-// the scan itself) — which keeps the streaming engine at per-probe
-// parity with the batch Scanner. bench/bench_throughput.cpp gates that
-// parity on single-core hosts, and the threaded merge is required to
-// stay bit-identical to the fused loop.
+// With shards == 1 the walk, probe, and classification fuse into one
+// loop on the calling thread — no worker thread, no kept bytes — which
+// keeps the streaming engine at per-probe parity with the batch
+// Scanner. bench/bench_throughput.cpp gates that parity on single-core
+// hosts, and the multi-shard merge is required to stay bit-identical to
+// the fused loop.
 //
 // Determinism contract (tested in tests/probe/stream_scanner_test.cc):
-// with faults and adaptive backoff off, hits, classifications, packets,
-// and every ScanStats counter are bit-identical across shard counts —
-// replies are pure functions of (addr, attempt, seed), the walk's cycle
-// positions are shard-count-independent, and all wait accounting is
-// summed in integer nanoseconds. Reply callbacks fire after the scan in
-// canonical cycle-position order (== the 1-shard probe order).
+// every lane sees the same targets in the same order for a given shard
+// count, and with faults and adaptive backoff off, hits,
+// classifications, packets, and every ScanStats counter are
+// bit-identical across shard counts — replies are pure functions of
+// (addr, type, attempt, seed), the walk's cycle positions are
+// shard-count-independent, and all wait accounting is summed in integer
+// nanoseconds. Reply callbacks fire after the scan in canonical
+// cycle-position order (== the 1-shard probe order).
 //
 // Caveats, documented in docs/SCANNER.md: virtual_seconds uses the
 // analytic model packets/max_pps + waits (not the batch engine's token
@@ -72,30 +68,21 @@ struct StreamScanOptions {
   /// Shard (= prober worker) count. Each shard covers a disjoint slice
   /// of the permutation cycle and gets max_pps/shards of the rate budget.
   unsigned shards = 1;
-  /// Targets per queue message — amortizes queue locking.
-  std::size_t batch = 256;
-  /// Messages per queue: the backpressure bound between stages.
-  std::size_t queue_capacity = 8;
   /// The shared scan knobs (retries, pacing, seed, telemetry, robust
   /// path). `randomize_order` selects the permuted walk (default) or a
   /// strided in-order walk; `seed` drives the permutation, the stateless
-  /// reply engines, probe validation, and backoff jitter.
+  /// reply engines, and backoff jitter.
   ScanOptions scan;
   Decorator decorate;
-  /// Optional liveness plane (borrowed; may be null): each pipeline
-  /// stage registers a heartbeat (`stream.producer`, `stream.prober.<s>`,
-  /// `stream.receiver`; `stream.scan` for the fused single-shard loop),
-  /// armed for the duration of a scan and beaten once per batch. Purely
-  /// wall-side observation — a watchdog never changes what the scan
-  /// computes (docs/OBSERVABILITY.md "Live introspection").
+  /// Optional liveness plane (borrowed; may be null): each shard's
+  /// worker registers a heartbeat (`stream.prober.<s>`; `stream.scan`
+  /// for the fused single-shard loop), armed for the duration of a scan
+  /// and beaten once per probe. Purely wall-side observation — a
+  /// watchdog never changes what the scan computes
+  /// (docs/OBSERVABILITY.md "Live introspection").
   v6::obs::StallWatchdog* watchdog = nullptr;
 
   StreamScanOptions& with_shards(unsigned v) { shards = v; return *this; }
-  StreamScanOptions& with_batch(std::size_t v) { batch = v; return *this; }
-  StreamScanOptions& with_queue_capacity(std::size_t v) {
-    queue_capacity = v;
-    return *this;
-  }
   StreamScanOptions& with_scan(ScanOptions v) { scan = v; return *this; }
   StreamScanOptions& with_decorator(Decorator v) {
     decorate = std::move(v);
@@ -134,9 +121,11 @@ class StreamScanner {
 
   using ReplyCallback = Scanner::ReplyCallback;
 
-  /// Scans `targets` on `type` through the pipeline. `on_reply` fires
-  /// once per probed address with its final classified reply, in
-  /// canonical cycle-position order, after all probers have joined.
+  /// Scans `targets` on `type` over every shard. `on_reply` fires once
+  /// per probed address with its final classified reply, in canonical
+  /// cycle-position order, after all shard workers have joined. If a
+  /// worker throws, scan() rethrows the first failure (in shard order)
+  /// once every worker has joined; the scanner stays usable.
   ScanStats scan(std::span<const v6::net::Ipv6Addr> targets,
                  v6::net::ProbeType type, const ReplyCallback& on_reply);
 
@@ -150,10 +139,10 @@ class StreamScanner {
   /// Cumulative packets emitted across all shards.
   std::uint64_t packets_sent() const;
 
-  /// Replies whose stateless validation token failed (always 0 against
-  /// the simulated universe; the counter exists because the receiver
-  /// refuses to classify unauthenticated replies by construction).
-  std::uint64_t invalid_replies() const { return invalid_replies_; }
+  /// Replies that failed validation. Always 0: every reply is produced
+  /// by the lane that sent its probe and never leaves the process, so
+  /// there is nothing to validate (probe_auth.h models the live check).
+  std::uint64_t invalid_replies() const { return 0; }
 
   unsigned shards() const { return static_cast<unsigned>(lanes_.size()); }
 
@@ -165,7 +154,7 @@ class StreamScanner {
  private:
   struct Lane;
 
-  /// Prober-thread helpers (each touches only its own lane's state).
+  /// Shard-worker helpers (each touches only its own lane's state).
   static void lane_wait(Lane& lane, double seconds);
   v6::net::ProbeReply lane_probe(Lane& lane, const v6::net::Ipv6Addr& addr,
                                  v6::net::ProbeType type) const;
@@ -187,7 +176,6 @@ class StreamScanner {
   /// instrumented reports carry the same counter set.
   std::vector<v6::obs::Counter*> retry_counters_;
   double total_virtual_seconds_ = 0.0;
-  std::uint64_t invalid_replies_ = 0;
 };
 
 }  // namespace v6::probe

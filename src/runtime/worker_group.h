@@ -1,12 +1,12 @@
 // WorkerGroup: an RAII batch of worker threads with exception capture.
 //
-// The streaming scanner spawns its producer and prober stages through
-// this instead of raw std::jthread so that (a) a thrown stage never
-// terminates the process — the first exception, in spawn order, is
-// rethrown on the joining thread — and (b) thread creation stays inside
-// src/runtime/, where the v6lint raw-thread rule confines it
+// The streaming scanner spawns its shard workers through this instead
+// of raw std::jthread so that (a) a thrown worker never terminates the
+// process — the first exception, in spawn order, is rethrown on the
+// joining thread — and (b) thread creation stays inside src/runtime/,
+// where the v6lint raw-thread rule confines it
 // (docs/STATIC_ANALYSIS.md). Everything above this layer reasons about
-// stages and queues, never about threads.
+// workers, never about threads.
 #pragma once
 
 #include <cstddef>

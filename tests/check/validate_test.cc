@@ -1,7 +1,7 @@
 // Tests for the unified config validation layer (src/check/validate.h)
 // and the validate() implementations it backs: PipelineConfig,
-// SweepSpec / ScanSession, StreamScanOptions, and ServiceConfig all
-// fail with the same ConfigError shape —
+// ScanSession, StreamScanOptions, and ServiceConfig all fail with the
+// same ConfigError shape —
 //
 //   <ConfigName>.<field>: <constraint>
 //
@@ -17,7 +17,6 @@
 #include <string>
 
 #include "experiment/pipeline.h"
-#include "experiment/runner.h"
 #include "experiment/session.h"
 #include "probe/stream_scanner.h"
 #include "service/hitlist_service.h"
@@ -76,12 +75,6 @@ TEST(ConfigValidation, PipelineConfigRejectsBadFields) {
             }),
             "PipelineConfig.retry_jitter: must be in [0, 1]");
   v6::experiment::PipelineConfig{}.validate();  // defaults are valid
-}
-
-TEST(ConfigValidation, SweepSpecRejectsNullWiring) {
-  v6::experiment::SweepSpec spec;
-  EXPECT_EQ(error_message([&] { spec.validate(); }),
-            "SweepSpec.universe: is required (must not be null)");
 }
 
 TEST(ConfigValidation, ScanSessionSweepValidatesItsConfig) {

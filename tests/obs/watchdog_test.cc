@@ -52,11 +52,11 @@ TEST(Heartbeat, CountsAndArmFlagAreIndependent) {
 
 TEST(StallWatchdog, StageReturnsStableAddresses) {
   StallWatchdog watchdog(fast(10.0));
-  Heartbeat& a = watchdog.stage("stream.producer");
-  Heartbeat& b = watchdog.stage("stream.receiver");
+  Heartbeat& a = watchdog.stage("stream.prober.0");
+  Heartbeat& b = watchdog.stage("stream.prober.1");
   EXPECT_NE(&a, &b);
-  EXPECT_EQ(&watchdog.stage("stream.producer"), &a);
-  EXPECT_EQ(&watchdog.stage("stream.receiver"), &b);
+  EXPECT_EQ(&watchdog.stage("stream.prober.0"), &a);
+  EXPECT_EQ(&watchdog.stage("stream.prober.1"), &b);
 }
 
 TEST(StallWatchdog, DisarmedStagesNeverTrip) {

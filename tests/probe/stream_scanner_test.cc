@@ -2,25 +2,31 @@
 // shard-merged ScanResult is bit-identical across shard counts and
 // seeds, reply callbacks fire in the canonical cycle-position order,
 // the blocklist and dedup paths match the batch engine's pre-wire
-// accounting, and stateless probe validation (probe_auth.h) never
-// rejects a legitimate simulated reply. Labeled shard + concurrency so
-// the tsan preset exercises the pipeline.
+// accounting, per-lane faults and adaptive backoff are pinned per shard
+// count, and a failing lane surfaces only after every shard worker has
+// joined. Labeled shard + concurrency so the tsan preset exercises the
+// shard workers.
 #include "probe/stream_scanner.h"
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/faulty_transport.h"
 #include "net/ipv6.h"
 #include "net/prefix.h"
 #include "net/rng.h"
 #include "obs/telemetry.h"
 #include "probe/probe_auth.h"
 #include "probe/scanner.h"
+#include "probe/stateless_transport.h"
 #include "probe/transport.h"
 #include "testutil/fixtures.h"
 #include "testutil/generators.h"
@@ -77,15 +83,12 @@ void expect_stats_eq(const ScanStats& a, const ScanStats& b,
 }
 
 ScanResult run_stream(const ScanOptions& scan, unsigned shards,
-                      std::size_t batch, const v6::probe::Blocklist* blocklist,
+                      const v6::probe::Blocklist* blocklist,
                       std::span<const Ipv6Addr> targets,
                       std::uint64_t* invalid = nullptr) {
-  StreamScanner scanner(v6::testutil::small_universe(), blocklist,
-                        StreamScanOptions{}
-                            .with_shards(shards)
-                            .with_batch(batch)
-                            .with_queue_capacity(4)
-                            .with_scan(scan));
+  StreamScanner scanner(
+      v6::testutil::small_universe(), blocklist,
+      StreamScanOptions{}.with_shards(shards).with_scan(scan));
   ScanResult result = scanner.scan_hits(targets, ProbeType::kIcmp);
   if (invalid != nullptr) *invalid = scanner.invalid_replies();
   return result;
@@ -109,17 +112,15 @@ TEST(StreamScannerTest, BitIdenticalAcrossShardCountsAndOptions) {
   const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/99, 600);
   for (const Variant& variant : variants) {
     std::uint64_t invalid = 0;
-    const ScanResult reference = run_stream(variant.scan, 1, 64, nullptr,
-                                            targets, &invalid);
+    const ScanResult reference =
+        run_stream(variant.scan, 1, nullptr, targets, &invalid);
     EXPECT_EQ(invalid, 0u) << variant.name;
     EXPECT_GT(reference.stats.probed, 0u) << variant.name;
     EXPECT_GT(reference.stats.hits, 0u) << variant.name;
     EXPECT_GT(reference.stats.deduped, 0u) << variant.name;
     for (const unsigned shards : {2u, 3u, 4u}) {
-      // A batch size that does not divide the target count exercises the
-      // producer's tail batches.
-      const ScanResult result = run_stream(variant.scan, shards, 37, nullptr,
-                                           targets, &invalid);
+      const ScanResult result =
+          run_stream(variant.scan, shards, nullptr, targets, &invalid);
       EXPECT_EQ(invalid, 0u) << variant.name;
       const std::string context =
           variant.name + " shards=" + std::to_string(shards);
@@ -183,8 +184,7 @@ TEST(StreamScannerTest, AgreesWithBatchEngineOnPreWireAccounting) {
   v6::probe::SimTransport wire(universe, scan.seed);
   v6::probe::Scanner batch(wire, nullptr, scan);
   const ScanResult batch_result = batch.scan_hits(targets, ProbeType::kIcmp);
-  const ScanResult stream_result =
-      run_stream(scan, 2, 64, nullptr, targets);
+  const ScanResult stream_result = run_stream(scan, 2, nullptr, targets);
   // The engines share dedup/blocklist/admission; reply streams differ
   // (sequential mt19937 vs per-(addr, attempt) splitmix64), so hit
   // counts are NOT compared.
@@ -211,10 +211,9 @@ TEST(StreamScannerTest, TelemetryCountersAreShardInvariant) {
   const v6::obs::Report three = run_with_telemetry(3);
   EXPECT_GT(one.counter_value("scanner.probed"), 0u);
   EXPECT_EQ(one.counters, three.counters);
-  // Gauges carry the backpressure plane, which is wall-side by
-  // definition (queue high watermarks, blocked nanoseconds): those
-  // `.wall` names exist only in the threaded run and are exempt from
-  // shard invariance. Everything else must match.
+  // `.wall` gauges (the scan's wall duration) are wall-side by
+  // definition and exempt from shard invariance. Everything else must
+  // match.
   const auto drop_wall = [](const std::map<std::string, std::int64_t>& in) {
     std::map<std::string, std::int64_t> out;
     for (const auto& [name, value] : in) {
@@ -227,12 +226,6 @@ TEST(StreamScannerTest, TelemetryCountersAreShardInvariant) {
     return out;
   };
   EXPECT_EQ(drop_wall(one.gauges), drop_wall(three.gauges));
-  // And the threaded run must actually publish the plane: per-shard
-  // target-queue totals plus the shared reply queue.
-  EXPECT_TRUE(three.gauges.count("stream.queue.target.0.pushed.wall"));
-  EXPECT_TRUE(three.gauges.count("stream.queue.target.2.hwm.wall"));
-  EXPECT_TRUE(three.gauges.count("stream.queue.reply.pushed.wall"));
-  EXPECT_GT(three.gauges.at("stream.queue.reply.pushed.wall"), 0);
 }
 
 TEST(StreamScannerTest, FlushTelemetryIsIdempotent) {
@@ -253,9 +246,8 @@ TEST(StreamScannerTest, FlushTelemetryIsIdempotent) {
 
 TEST(StreamScannerTest, StatsAreInternallyConsistent) {
   const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/23, 300);
-  const ScanResult result =
-      run_stream(ScanOptions{}.with_seed(9).with_retries(2), 3, 50, nullptr,
-                 targets);
+  const ScanResult result = run_stream(
+      ScanOptions{}.with_seed(9).with_retries(2), 3, nullptr, targets);
   const ScanStats& s = result.stats;
   EXPECT_EQ(s.targets, targets.size());
   EXPECT_EQ(s.deduped + s.blocked + s.probed, s.targets);
@@ -263,6 +255,205 @@ TEST(StreamScannerTest, StatsAreInternallyConsistent) {
   EXPECT_EQ(s.hits, result.hits.size());
   EXPECT_GE(s.packets, s.probed);
   EXPECT_GT(s.virtual_seconds, 0.0);
+}
+
+/// splitmix64 fold of every (addr, reply) callback event in order, then
+/// every ScanStats field (doubles by bit pattern).
+std::uint64_t scan_digest(StreamScanner& scanner,
+                          std::span<const Ipv6Addr> targets,
+                          ScanStats* stats) {
+  std::uint64_t digest = 0;
+  const auto fold = [&digest](std::uint64_t v) {
+    digest = v6::net::splitmix64(digest ^ v);
+  };
+  *stats = scanner.scan(targets, ProbeType::kIcmp,
+                        [&](const Ipv6Addr& addr, ProbeReply reply) {
+                          fold(addr.hi());
+                          fold(addr.lo());
+                          fold(static_cast<std::uint64_t>(reply));
+                        });
+  for (const std::uint64_t v :
+       {stats->targets, stats->deduped, stats->blocked, stats->probed,
+        stats->packets, stats->hits, stats->rsts, stats->unreachables,
+        stats->timeouts, stats->retransmissions, stats->backoffs,
+        std::bit_cast<std::uint64_t>(stats->virtual_seconds),
+        std::bit_cast<std::uint64_t>(stats->backoff_seconds)}) {
+    fold(v);
+  }
+  return digest;
+}
+
+TEST(StreamScannerTest, FaultsAndAdaptiveBackoffArePinnedPerShardCount) {
+  // Fault injectors and adaptive-backoff streaks are per-lane state, so
+  // their outcomes depend on which targets each lane sees, in which
+  // order. The digests pin that for every shard count: a change to how
+  // shards split or merge the walk shows up here.
+  const v6::net::Prefix any;
+  const v6::fault::FaultPlan plan = v6::fault::FaultPlan{}
+                                        .with_base_loss(0.15)
+                                        .with_rate_limit(any, 20.0, 10.0, 32)
+                                        .with_outage(any, 0.2, 0.1, 1.0)
+                                        .with_error(any, 0.05);
+  const ScanOptions scan = ScanOptions{}
+                               .with_seed(19)
+                               .with_retries(3)
+                               .with_probe_timeout(0.01)
+                               .with_retry_backoff(0.02, /*jitter=*/0.25)
+                               .with_adaptive_backoff(/*threshold=*/8,
+                                                      /*wait_s=*/0.5);
+  const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/47, 800);
+  struct Pin {
+    unsigned shards;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1, 0xba556e5f3dbdb2aaULL},
+      {2, 0xe8153c3598bc5e16ULL},
+      {3, 0xc1847e8cee48a097ULL},
+      {4, 0xf1ecb7212626065eULL},
+  };
+  for (const Pin& pin : pins) {
+    StreamScanner scanner(
+        v6::testutil::small_universe(), nullptr,
+        StreamScanOptions{}
+            .with_shards(pin.shards)
+            .with_scan(scan)
+            .with_decorator([&plan](v6::probe::ProbeTransport& inner,
+                                    unsigned shard)
+                                -> std::unique_ptr<v6::probe::ProbeTransport> {
+              return std::make_unique<v6::fault::FaultyTransport>(
+                  inner, plan, v6::net::derive_seed(19, 0x5A00 + shard));
+            }));
+    ScanStats stats;
+    const std::uint64_t digest = scan_digest(scanner, targets, &stats);
+    const std::string context = "shards=" + std::to_string(pin.shards);
+    EXPECT_GT(stats.hits, 0u) << context;
+    EXPECT_GT(stats.unreachables, 0u) << context;
+    EXPECT_GT(stats.retransmissions, 0u) << context;
+    EXPECT_GT(stats.backoffs, 0u) << context;
+    EXPECT_EQ(digest, pin.digest)
+        << context << " digest 0x" << std::hex << digest;
+  }
+}
+
+/// Forwards to the lane's wire and counts the sends that reach it; an
+/// armed transport throws on its first send instead.
+class FailingTransport final : public v6::probe::ProbeTransport {
+ public:
+  FailingTransport(v6::probe::ProbeTransport& inner, std::uint64_t* sends,
+                   bool armed)
+      : inner_(&inner), sends_(sends), armed_(armed) {}
+
+  ProbeReply send(const Ipv6Addr& addr, ProbeType type) override {
+    if (armed_) {
+      armed_ = false;
+      throw std::runtime_error("lane transport failed");
+    }
+    ++*sends_;
+    return inner_->send(addr, type);
+  }
+  std::uint64_t packets_sent() const override {
+    return inner_->packets_sent();
+  }
+  void advance(double seconds) override { inner_->advance(seconds); }
+  std::uint64_t last_wire_nanos() const override {
+    return inner_->last_wire_nanos();
+  }
+
+ private:
+  v6::probe::ProbeTransport* inner_;
+  std::uint64_t* sends_;
+  bool armed_;
+};
+
+TEST(StreamScannerTest, LaneFailureRethrowsAfterEveryWorkerJoins) {
+  constexpr unsigned kShards = 3;
+  constexpr unsigned kFailing = 1;
+  const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/41, 600);
+  const ScanOptions scan = ScanOptions{}.with_seed(8).with_retries(1);
+  // One send counter per lane: each is written only by its own worker,
+  // and read here only after scan() has returned or thrown.
+  auto make_scanner = [&](std::vector<std::uint64_t>* sends, bool fail) {
+    return std::make_unique<StreamScanner>(
+        v6::testutil::small_universe(), nullptr,
+        StreamScanOptions{}
+            .with_shards(kShards)
+            .with_scan(scan)
+            .with_decorator([sends, fail](v6::probe::ProbeTransport& inner,
+                                          unsigned shard)
+                                -> std::unique_ptr<v6::probe::ProbeTransport> {
+              return std::make_unique<FailingTransport>(
+                  inner, &(*sends)[shard], fail && shard == kFailing);
+            }));
+  };
+
+  std::vector<std::uint64_t> clean_sends(kShards, 0);
+  const ScanResult expected =
+      make_scanner(&clean_sends, false)->scan_hits(targets, ProbeType::kIcmp);
+
+  std::vector<std::uint64_t> sends(kShards, 0);
+  const std::unique_ptr<StreamScanner> scanner = make_scanner(&sends, true);
+  EXPECT_THROW(scanner->scan_hits(targets, ProbeType::kIcmp),
+               std::runtime_error);
+  // The healthy lanes walked their whole slices before scan() rethrew.
+  for (unsigned s = 0; s < kShards; ++s) {
+    if (s == kFailing) continue;
+    EXPECT_GT(sends[s], 0u) << "shard " << s;
+    EXPECT_EQ(sends[s], clean_sends[s]) << "shard " << s;
+  }
+  EXPECT_EQ(sends[kFailing], 0u);
+
+  // The same scanner completes its next scan, as a clean one would.
+  const ScanResult again = scanner->scan_hits(targets, ProbeType::kIcmp);
+  EXPECT_EQ(again.hits, expected.hits);
+  expect_stats_eq(again.stats, expected.stats, "scan after a failed scan");
+}
+
+TEST(StatelessSimTransportTest, ProbeTypesDrawIndependentLossCoins) {
+  // A rate-limited alias region answers every address on ICMP and
+  // TCP80 with the same probability. Separate packets draw separate
+  // coins, so an address's first ICMP and first TCP80 replies must
+  // sometimes disagree.
+  const auto& universe = v6::testutil::small_universe();
+  const v6::simnet::AliasRegion* region = nullptr;
+  for (const v6::simnet::AliasRegion& candidate : universe.alias_regions()) {
+    if (candidate.rate_limited &&
+        v6::net::has_service(candidate.services, ProbeType::kIcmp) &&
+        v6::net::has_service(candidate.services, ProbeType::kTcp80)) {
+      region = &candidate;
+      break;
+    }
+  }
+  ASSERT_NE(region, nullptr);
+  v6::net::Rng rng = v6::net::make_rng(/*seed=*/3, /*tag=*/0xC014);
+  std::vector<Ipv6Addr> addrs;
+  for (int i = 0; i < 400; ++i) {
+    addrs.push_back(v6::net::random_in_prefix(rng, region->prefix));
+  }
+
+  v6::probe::StatelessSimTransport wire(universe, /*seed=*/12);
+  const auto first_replies = [&](ProbeType type) {
+    wire.reset();
+    std::vector<bool> replied;
+    for (const Ipv6Addr& addr : addrs) {
+      replied.push_back(wire.send(addr, type) != ProbeReply::kTimeout);
+      wire.reset();  // every send is a first attempt
+    }
+    return replied;
+  };
+  const std::vector<bool> icmp = first_replies(ProbeType::kIcmp);
+  const std::vector<bool> tcp = first_replies(ProbeType::kTcp80);
+  std::size_t icmp_hits = 0;
+  std::size_t tcp_hits = 0;
+  std::size_t disagree = 0;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    icmp_hits += icmp[i] ? 1 : 0;
+    tcp_hits += tcp[i] ? 1 : 0;
+    disagree += icmp[i] != tcp[i] ? 1 : 0;
+  }
+  EXPECT_GT(icmp_hits, 0u);
+  EXPECT_GT(tcp_hits, 0u);
+  EXPECT_GT(disagree, 0u) << "every address drew one coin for both types";
 }
 
 TEST(ProbeAuthTest, TokenValidatesOnlyItsOwnAddressAndSeed) {

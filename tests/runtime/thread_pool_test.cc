@@ -1,4 +1,6 @@
-// Unit tests for the experiment-layer thread pool and parallel_for.
+// Unit tests for the experiment-layer thread pool and parallel_for,
+// and for WorkerGroup's exception plumbing (the streaming scanner's
+// shard workers lean on it).
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +9,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+#include "runtime/worker_group.h"
 
 namespace v6::runtime {
 namespace {
@@ -145,6 +149,23 @@ TEST(ParallelFor, HandlesZeroAndOneIteration) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(WorkerGroupTest, JoinRethrowsFirstExceptionInSpawnOrder) {
+  WorkerGroup workers;
+  workers.spawn([] { throw std::runtime_error("first"); });
+  workers.spawn([] { throw std::logic_error("second"); });
+  try {
+    workers.join();
+    FAIL() << "join() should have rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  // The group is reusable after a throwing join.
+  std::atomic<bool> ran{false};
+  workers.spawn([&] { ran = true; });
+  workers.join();
+  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace

@@ -8,6 +8,12 @@ namespace v6lint {
 
 namespace {
 
+// Suppression markers live in comments: `v6lint: allow(<rule>, ...)`.
+// Compiled during static initialization, before the driver's workers
+// start lexing: compiling a std::regex fills libstdc++'s shared
+// ctype<char>::narrow cache, which concurrent compiles race on.
+const std::regex kAllow(R"(v6lint:\s*allow\(([A-Za-z0-9_,\s-]+)\))");
+
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
@@ -176,8 +182,6 @@ LexedFile lex(const std::string& raw) {
   out.code_lines = split_lines(out.code);
   out.string_lines = split_lines(out.with_strings);
 
-  // Suppression markers live in comments: `v6lint: allow(<rule>, ...)`.
-  static const std::regex kAllow(R"(v6lint:\s*allow\(([A-Za-z0-9_,\s-]+)\))");
   const std::vector<std::string> comment_lines = split_lines(comments);
   for (std::size_t li = 0; li < comment_lines.size(); ++li) {
     const std::string& line = comment_lines[li];

@@ -20,45 +20,66 @@ bool has_suffix(const std::string& path, std::string_view suffix) {
          path[path.size() - suffix.size() - 1] == '/';
 }
 
+// ------------------------------------------------------------- patterns
+// Every pattern is compiled here, during static initialization, so
+// before the driver starts its worker threads. Compiling a std::regex
+// fills libstdc++'s shared ctype<char>::narrow cache; workers compiling
+// function-local patterns at the same time race on it.
+
+const std::regex kPositionalSweep(R"(\b(run_all_tgas|run_tgas)\b)");
+const std::regex kScanHitsCall(R"(\bscan_hits\s*\()");
+const std::regex kAmbientEntropy(
+    R"(\b(srand|random_device|drand48|lrand48|mrand48|rand_r|getpid)\b)"
+    R"(|\b(rand|time|clock)\s*\()"
+    R"(|\b(system_clock|high_resolution_clock)\b)");
+const std::regex kTelemetryDeref(R"((^|[^_\w])telemetry->)");
+const std::regex kTelemetryGuard(
+    R"(telemetry\s*(!=|==)\s*nullptr|if\s*\(\s*telemetry\s*\)|telemetry\s*\?)");
+const std::regex kSleepCall(
+    R"(\b(sleep_for|sleep_until|usleep|nanosleep|sleep)\s*\()");
+const std::regex kMetricRegistration(
+    R"rx(\b(?:counter|gauge|timer|histogram)\s*\(\s*"([^"]*)")rx"
+    R"rx(|\bSpan\s+\w+\s*\([^()"]*"([^"]*)")rx");
+const std::regex kRawThread(R"(\bstd\s*::\s*j?thread\b|\bpthread_create\b)");
+const std::regex kEpochMutation(R"(\b(begin_epoch|publish_epoch)\s*\()");
+const std::regex kHostSpan(R"(\bhosts_\b|\bhosts\s*\(\s*\))");
+const std::regex kRangeFor(
+    R"(\bfor\s*\([^;)]*[^;:)]:\s*\*?([A-Za-z_]\w*)\s*\))");
+// Deliberately `begin` only: every real traversal spells a begin (a
+// range-for, an explicit iterator loop, or a materializing copy),
+// while `.end()` alone is almost always the `it != m.end()` guard of
+// a find() — a point lookup, not an ordering hazard.
+const std::regex kBeginCall(R"(\b([A-Za-z_]\w*)\s*(?:\.|->)\s*c?begin\s*\()");
+const std::regex kBareLock(
+    R"(\b[A-Za-z_]\w*\s*(?:\.|->)\s*(?:try_)?(?:lock|unlock)\s*\(\s*\))");
+const std::regex kSocketInclude(
+    R"(^\s*#\s*include\s*<(sys/socket\.h|netinet/[^>]+|arpa/inet\.h)"
+    R"(|sys/un\.h|netdb\.h|poll\.h|sys/poll\.h)>)");
+const std::regex kQuotedInclude(R"(^\s*#\s*include\s*"([^"]+)\")");
+
 // ---------------------------------------------------------------- rules
 // The original eight rules, ported onto the shared index (they used to
 // each re-strip the file); rationale per rule in docs/STATIC_ANALYSIS.md.
 
-/// deprecated-api: three generations of retired sweep spellings. The
-/// PR 2 positional wrappers are deleted outright; run_sweep(SweepSpec)
-/// is a [[deprecated]] forwarder whose only permitted spellings are its
-/// own declaration and definition in src/experiment/runner.{h,cc} —
-/// every caller belongs on the ScanSession builder.
+/// deprecated-api: retired API spellings. The positional sweep
+/// wrappers are deleted outright — every sweep belongs on the
+/// ScanSession builder — and so is the out-param scan_hits overload.
 void check_deprecated_api(const RuleContext& ctx, std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   const std::vector<std::string>& stripped = fi.lx.code_lines;
-  static const std::regex kPositional(R"(\b(run_all_tgas|run_tgas)\b)");
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kPositional)) {
+    if (std::regex_search(stripped[i], kPositionalSweep)) {
       out.push_back({fi.file, i + 1, "deprecated-api",
                      "call to deprecated positional sweep API; use "
                      "ScanSession(universe, alias_list).with_*(...).sweep()"});
     }
   }
 
-  if (!has_suffix(fi.generic, "src/experiment/runner.h") &&
-      !has_suffix(fi.generic, "src/experiment/runner.cc")) {
-    static const std::regex kRunSweep(R"(\brun_sweep\s*\()");
-    for (std::size_t i = 0; i < stripped.size(); ++i) {
-      if (std::regex_search(stripped[i], kRunSweep)) {
-        out.push_back(
-            {fi.file, i + 1, "deprecated-api",
-             "run_sweep(SweepSpec) is a deprecated forwarder; use "
-             "ScanSession(universe, alias_list).with_*(...).sweep()"});
-      }
-    }
-  }
-
   // The deprecated scan_hits spelling is the 3-argument out-param
   // overload; count top-level commas inside the call parentheses.
   const std::string& joined = fi.lx.code;
-  static const std::regex kScanHits(R"(\bscan_hits\s*\()");
-  for (auto it = std::sregex_iterator(joined.begin(), joined.end(), kScanHits);
+  for (auto it =
+           std::sregex_iterator(joined.begin(), joined.end(), kScanHitsCall);
        it != std::sregex_iterator(); ++it) {
     std::size_t pos = static_cast<std::size_t>(it->position()) + it->length();
     int depth = 1;
@@ -91,13 +112,9 @@ void check_nondeterminism(const RuleContext& ctx, std::vector<Violation>& out) {
   if (!fi.in_src) return;
   if (has_suffix(fi.generic, "src/net/rng.h")) return;
 
-  static const std::regex kBanned(
-      R"(\b(srand|random_device|drand48|lrand48|mrand48|rand_r|getpid)\b)"
-      R"(|\b(rand|time|clock)\s*\()"
-      R"(|\b(system_clock|high_resolution_clock)\b)");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kBanned)) {
+    if (std::regex_search(stripped[i], kAmbientEntropy)) {
       out.push_back({fi.file, i + 1, "nondeterminism",
                      "ambient randomness / wall-clock source; derive it "
                      "from the master seed via net/rng.h instead"});
@@ -133,16 +150,13 @@ void check_telemetry_guard(const RuleContext& ctx, std::vector<Violation>& out) 
   const FileIndex& fi = ctx.file;
   if (!fi.in_src) return;
   constexpr std::size_t kWindow = 15;
-  static const std::regex kDeref(R"((^|[^_\w])telemetry->)");
-  static const std::regex kGuard(
-      R"(telemetry\s*(!=|==)\s*nullptr|if\s*\(\s*telemetry\s*\)|telemetry\s*\?)");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (!std::regex_search(stripped[i], kDeref)) continue;
+    if (!std::regex_search(stripped[i], kTelemetryDeref)) continue;
     bool guarded = false;
     const std::size_t start = i >= kWindow ? i - kWindow : 0;
     for (std::size_t j = start; j <= i && !guarded; ++j) {
-      guarded = std::regex_search(stripped[j], kGuard);
+      guarded = std::regex_search(stripped[j], kTelemetryGuard);
     }
     if (!guarded) {
       out.push_back({fi.file, i + 1, "telemetry-null-guard",
@@ -160,11 +174,9 @@ void check_telemetry_guard(const RuleContext& ctx, std::vector<Violation>& out) 
 void check_no_sleep(const RuleContext& ctx, std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src) return;
-  static const std::regex kBanned(
-      R"(\b(sleep_for|sleep_until|usleep|nanosleep|sleep)\s*\()");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kBanned)) {
+    if (std::regex_search(stripped[i], kSleepCall)) {
       out.push_back({fi.file, i + 1, "no-sleep",
                      "wall-clock wait in the library; charge virtual time "
                      "(RateLimiter::advance / ProbeTransport::advance) "
@@ -183,9 +195,6 @@ void check_no_sleep(const RuleContext& ctx, std::vector<Violation>& out) {
 void check_metric_name(const RuleContext& ctx, std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src) return;
-  static const std::regex kRegistration(
-      R"rx(\b(?:counter|gauge|timer|histogram)\s*\(\s*"([^"]*)")rx"
-      R"rx(|\bSpan\s+\w+\s*\([^()"]*"([^"]*)")rx");
   const auto valid = [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' ||
            c == '.' || c == '<' || c == '>' || c == ':';
@@ -194,7 +203,7 @@ void check_metric_name(const RuleContext& ctx, std::vector<Violation>& out) {
   for (std::size_t i = 0; i < with_strings.size(); ++i) {
     const std::string& line = with_strings[i];
     for (auto it = std::sregex_iterator(line.begin(), line.end(),
-                                        kRegistration);
+                                        kMetricRegistration);
          it != std::sregex_iterator(); ++it) {
       const std::string name =
           (*it)[1].matched ? (*it)[1].str() : (*it)[2].str();
@@ -217,11 +226,9 @@ void check_metric_name(const RuleContext& ctx, std::vector<Violation>& out) {
 void check_raw_thread(const RuleContext& ctx, std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src || fi.module == "runtime") return;
-  static const std::regex kBanned(
-      R"(\bstd\s*::\s*j?thread\b|\bpthread_create\b)");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kBanned)) {
+    if (std::regex_search(stripped[i], kRawThread)) {
       out.push_back({fi.file, i + 1, "raw-thread",
                      "raw thread spawn outside src/runtime/; use "
                      "runtime::WorkerGroup or the ThreadPool"});
@@ -239,10 +246,9 @@ void check_hitlist_mutation(const RuleContext& ctx,
                             std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src || fi.module == "service") return;
-  static const std::regex kMutation(R"(\b(begin_epoch|publish_epoch)\s*\()");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kMutation)) {
+    if (std::regex_search(stripped[i], kEpochMutation)) {
       out.push_back({fi.file, i + 1, "hitlist-mutation",
                      "HitlistStore epoch mutation outside src/service/; "
                      "publication belongs to the service refresh loop — "
@@ -262,10 +268,9 @@ void check_materialized_span(const RuleContext& ctx,
                              std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src || fi.module == "simnet") return;
-  static const std::regex kSpan(R"(\bhosts_\b|\bhosts\s*\(\s*\))");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kSpan)) {
+    if (std::regex_search(stripped[i], kHostSpan)) {
       out.push_back({fi.file, i + 1, "materialized-span",
                      "materialized host-table access outside src/simnet/; "
                      "hosts() requires a materialized build and scales "
@@ -341,14 +346,6 @@ void check_unordered_iteration(const RuleContext& ctx,
   }
   if (names.empty()) return;
 
-  static const std::regex kRangeFor(
-      R"(\bfor\s*\([^;)]*[^;:)]:\s*\*?([A-Za-z_]\w*)\s*\))");
-  // Deliberately `begin` only: every real traversal spells a begin (a
-  // range-for, an explicit iterator loop, or a materializing copy),
-  // while `.end()` alone is almost always the `it != m.end()` guard of
-  // a find() — a point lookup, not an ordering hazard.
-  static const std::regex kIterator(
-      R"(\b([A-Za-z_]\w*)\s*(?:\.|->)\s*c?begin\s*\()");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
     const std::string& line = stripped[i];
@@ -357,7 +354,7 @@ void check_unordered_iteration(const RuleContext& ctx,
          it != std::sregex_iterator(); ++it) {
       if (names.count((*it)[1].str())) hit.insert((*it)[1].str());
     }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kIterator);
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), kBeginCall);
          it != std::sregex_iterator(); ++it) {
       if (names.count((*it)[1].str())) hit.insert((*it)[1].str());
     }
@@ -375,17 +372,15 @@ void check_unordered_iteration(const RuleContext& ctx,
 /// lock-discipline: mutexes in the library are held through RAII
 /// guards (lock_guard/scoped_lock/unique_lock) so early returns and
 /// exceptions cannot leak a held lock. Manual .lock()/.unlock() calls
-/// are allowed only inside src/runtime/, whose queue primitives
-/// deliberately drop the lock around notify.
+/// are allowed only inside src/runtime/, whose thread primitives may
+/// need to interleave a lock with a wait.
 void check_lock_discipline(const RuleContext& ctx,
                            std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src || fi.module == "runtime") return;
-  static const std::regex kBare(
-      R"(\b[A-Za-z_]\w*\s*(?:\.|->)\s*(?:try_)?(?:lock|unlock)\s*\(\s*\))");
   const std::vector<std::string>& stripped = fi.lx.code_lines;
   for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kBare)) {
+    if (std::regex_search(stripped[i], kBareLock)) {
       out.push_back({fi.file, i + 1, "lock-discipline",
                      "bare lock()/unlock() outside src/runtime/; hold "
                      "mutexes through std::lock_guard/scoped_lock/"
@@ -406,9 +401,6 @@ void check_raw_socket(const RuleContext& ctx, std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src) return;
   if (fi.generic.find("src/obs/admin/") != std::string::npos) return;
-  static const std::regex kSocketInclude(
-      R"(^\s*#\s*include\s*<(sys/socket\.h|netinet/[^>]+|arpa/inet\.h)"
-      R"(|sys/un\.h|netdb\.h|poll\.h|sys/poll\.h)>)");
   const std::vector<std::string>& with_strings = fi.lx.string_lines;
   for (std::size_t i = 0; i < with_strings.size(); ++i) {
     if (std::regex_search(with_strings[i], kSocketInclude)) {
@@ -428,10 +420,9 @@ void index_file(FileIndex& fi) {
 
   // Quoted includes: the target is a string literal, so read it from
   // the comments-stripped-only view.
-  static const std::regex kInclude(R"(^\s*#\s*include\s*"([^"]+)\")");
   std::smatch m;
   for (std::size_t i = 0; i < fi.lx.string_lines.size(); ++i) {
-    if (std::regex_search(fi.lx.string_lines[i], m, kInclude)) {
+    if (std::regex_search(fi.lx.string_lines[i], m, kQuotedInclude)) {
       fi.includes.push_back({i + 1, m[1].str()});
     }
   }

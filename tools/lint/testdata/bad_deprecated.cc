@@ -1,16 +1,11 @@
-// Lint fixture: calls to the retired sweep spellings (the
-// `deprecated-api` rule) — the deleted PR 2 positional wrappers and
-// the run_sweep(SweepSpec) forwarder the ScanSession builder replaced.
-// Never compiled.
+// Lint fixture: calls to retired API spellings (the `deprecated-api`
+// rule) — the deleted positional sweep wrappers the ScanSession builder
+// replaced, and the out-param scan_hits overload. Never compiled.
 namespace v6::fixture {
 
 void sweep_with_positional_api() {
   run_all_tgas(universe, seeds, alias_list, config, /*jobs=*/4);  // violation
   run_tgas(universe, kinds, seeds, alias_list, config);           // violation
-}
-
-void sweep_with_spec_struct() {
-  const auto runs = run_sweep(spec);  // violation: use ScanSession
 }
 
 void scan_with_out_param() {
