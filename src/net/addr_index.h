@@ -6,11 +6,13 @@
 // contiguously (no per-node allocation, one cache line per lookup in the
 // common case) and probes linearly from a mixed hash. Deletion is not
 // supported — the universe only ever grows (UniverseBuilder::build and
-// the aging birth pass), which keeps the table tombstone-free.
+// the aging birth pass), and so do the seed dataset and activity map,
+// which keeps the table tombstone-free.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "check/contracts.h"
@@ -89,6 +91,14 @@ class AddrIndexMap {
     V6_ENSURE_MSG(size_ * 100 <= slots_.size() * kMaxLoadPercent,
                   "load factor above the probing bound after insert");
     return true;
+  }
+
+  /// insert(), then the value stored under `addr` (the new one, or the
+  /// one already there) and whether this call inserted it.
+  std::pair<std::uint32_t, bool> emplace(const Ipv6Addr& addr,
+                                         std::uint32_t value) {
+    if (insert(addr, value)) return {value, true};
+    return {*find(addr), false};
   }
 
   /// Pointer to the value stored under `addr`, or nullptr.

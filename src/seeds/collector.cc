@@ -1,9 +1,12 @@
 #include "seeds/collector.h"
 
+#include <array>
 #include <unordered_map>
 
 #include "net/rng.h"
 #include "probe/transport.h"
+#include "runtime/thread_pool.h"
+#include "runtime/worker_group.h"
 #include "tga/det.h"
 
 namespace v6::seeds {
@@ -106,10 +109,14 @@ SourceProfile default_profile(SeedSource source) {
 
 SeedCollector::SeedCollector(const v6::simnet::Universe& universe,
                              std::uint64_t seed)
-    : universe_(&universe),
-      seed_(seed),
-      zone_(v6::dns::ZoneDb::build(universe, {.seed = seed})),
-      topo_(universe, seed) {}
+    : universe_(&universe), seed_(seed), topo_(universe, seed) {}
+
+const v6::dns::ZoneDb& SeedCollector::zone() const {
+  std::call_once(zone_once_, [this] {
+    zone_.emplace(v6::dns::ZoneDb::build(*universe_, {.seed = seed_}));
+  });
+  return *zone_;
+}
 
 bool SeedCollector::as_visible(SeedSource source, std::uint32_t asn,
                                const SourceProfile& profile) const {
@@ -318,9 +325,9 @@ std::vector<Ipv6Addr> SeedCollector::collect(SeedSource source) const {
   if (const auto kind = domain_kind(source)) {
     // ---- Domain feed: synthesize the list, resolve it (ZDNS path) ------
     const std::vector<std::string> names =
-        v6::dns::make_domain_list(zone_, *universe_, *kind, seed_);
+        v6::dns::make_domain_list(zone(), *universe_, *kind, seed_);
     v6::dns::Resolver resolver(
-        zone_, {.seed = v6::net::derive_seed(
+        zone(), {.seed = v6::net::derive_seed(
                     seed_, static_cast<std::uint64_t>(source))});
     out = resolver.resolve_all(names);
   } else if (profile.campaign_targets > 0) {
@@ -345,9 +352,40 @@ std::vector<Ipv6Addr> SeedCollector::collect(SeedSource source) const {
 }
 
 SeedDataset SeedCollector::collect_all() const {
+  // Two lanes. The traceroute campaigns (the slowest sources) and the
+  // IPv6 Hitlist need neither the zone nor a TGA run, so one worker
+  // collects them while this thread builds the zone and collects the
+  // rest. Each source writes only its own slot, and the merge below
+  // runs in kAllSeedSources order, so the dataset is the serial fold's.
+  // Fanning out all twelve would raise peak RSS: glibc's per-thread
+  // arenas keep each concurrent source's transient peak.
+  const auto on_worker = [](SeedSource source) {
+    return source == SeedSource::kScamper ||
+           source == SeedSource::kRipeAtlas || source == SeedSource::kHitlist;
+  };
+  std::array<std::vector<Ipv6Addr>, kNumSeedSources> feeds;
+  const auto collect_lane = [&](bool worker_lane) {
+    for (const SeedSource source : kAllSeedSources) {
+      if (on_worker(source) == worker_lane) {
+        feeds[static_cast<std::size_t>(source)] = collect(source);
+      }
+    }
+  };
+  v6::runtime::WorkerGroup worker;
+  if (v6::runtime::default_jobs() > 1) {
+    worker.spawn([&] { collect_lane(true); });
+  } else {
+    collect_lane(true);
+  }
+  collect_lane(false);
+  worker.join();
+
+  std::size_t total = 0;
+  for (const auto& feed : feeds) total += feed.size();
   SeedDataset dataset;
+  dataset.reserve(total);
   for (const SeedSource source : kAllSeedSources) {
-    for (const Ipv6Addr& addr : collect(source)) {
+    for (const Ipv6Addr& addr : feeds[static_cast<std::size_t>(source)]) {
       dataset.add(addr, source);
     }
   }

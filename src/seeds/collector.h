@@ -17,7 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "dns/domain_lists.h"
@@ -60,18 +61,26 @@ SourceProfile default_profile(SeedSource source);
 class SeedCollector {
  public:
   /// `seed` controls all sampling; collection is deterministic in
-  /// (universe, seed). Builds the DNS zone and the topology substrate.
+  /// (universe, seed). Builds the topology substrate; the DNS zone is
+  /// built on first use.
   SeedCollector(const v6::simnet::Universe& universe, std::uint64_t seed);
 
   /// Collects one source's address feed (may contain stale, aliased and
   /// junk addresses — preprocessing is a separate, studied step).
+  /// Sources draw only from their own RNG streams, so concurrent calls
+  /// for different sources are safe and give the serial results.
   std::vector<v6::net::Ipv6Addr> collect(SeedSource source) const;
 
-  /// Collects every source into one provenance-tagged dataset.
+  /// Collects every source into one provenance-tagged dataset: the
+  /// merge, in kAllSeedSources order, of collect() over every source.
+  /// The two traceroute campaigns and the IPv6 Hitlist run on one
+  /// worker while the calling thread builds the zone and collects the
+  /// other nine (inline when runtime::default_jobs() is 1).
   SeedDataset collect_all() const;
 
-  /// The synthetic DNS zone used for domain-feed resolution.
-  const v6::dns::ZoneDb& zone() const { return zone_; }
+  /// The synthetic DNS zone used for domain-feed resolution, built by
+  /// the first call (thread-safe).
+  const v6::dns::ZoneDb& zone() const;
 
  private:
   /// Deterministic per-(source, ASN) visibility coin.
@@ -97,8 +106,9 @@ class SeedCollector {
 
   const v6::simnet::Universe* universe_;
   std::uint64_t seed_;
-  v6::dns::ZoneDb zone_;
-  mutable v6::topo::TracerouteEngine topo_;
+  v6::topo::TracerouteEngine topo_;
+  mutable std::once_flag zone_once_;
+  mutable std::optional<v6::dns::ZoneDb> zone_;
 };
 
 }  // namespace v6::seeds

@@ -3,11 +3,12 @@
 // seeds, and restricting to port-specific responsive seeds.
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dealias/dealiaser.h"
+#include "net/addr_index.h"
 #include "net/ipv6.h"
 #include "net/service.h"
 #include "probe/scanner.h"
@@ -21,8 +22,8 @@ class ActivityMap {
  public:
   /// Responsiveness mask of `addr` (0 if never scanned or unresponsive).
   v6::net::ServiceMask of(const v6::net::Ipv6Addr& addr) const {
-    const auto it = mask_.find(addr);
-    return it == mask_.end() ? 0 : it->second;
+    const std::uint32_t* i = index_.find(addr);
+    return i == nullptr ? 0 : masks_[*i];
   }
 
   bool active_on(const v6::net::Ipv6Addr& addr, v6::net::ProbeType t) const {
@@ -32,17 +33,27 @@ class ActivityMap {
   bool active_any(const v6::net::Ipv6Addr& addr) const { return of(addr) != 0; }
 
   void set(const v6::net::Ipv6Addr& addr, v6::net::ServiceMask m) {
-    mask_[addr] = m;
+    slot(addr) = m;
   }
 
   void merge_bit(const v6::net::Ipv6Addr& addr, v6::net::ProbeType t) {
-    mask_[addr] |= v6::net::service_bit(t);
+    slot(addr) |= v6::net::service_bit(t);
   }
 
-  std::size_t size() const { return mask_.size(); }
+  std::size_t size() const { return masks_.size(); }
 
  private:
-  std::unordered_map<v6::net::Ipv6Addr, v6::net::ServiceMask> mask_;
+  /// The mask stored for `addr`, inserted as 0 if absent.
+  v6::net::ServiceMask& slot(const v6::net::Ipv6Addr& addr) {
+    const auto [i, inserted] =
+        index_.emplace(addr, static_cast<std::uint32_t>(masks_.size()));
+    if (inserted) masks_.push_back(0);
+    return masks_[i];
+  }
+
+  /// addr -> its position in masks_.
+  v6::net::AddrIndexMap index_;
+  std::vector<v6::net::ServiceMask> masks_;
 };
 
 /// Scans `addrs` on all four probe types and records per-address

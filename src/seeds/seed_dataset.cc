@@ -5,24 +5,30 @@
 namespace v6::seeds {
 
 void SeedDataset::add(const v6::net::Ipv6Addr& addr, SeedSource source) {
-  const auto [it, inserted] =
+  const auto [i, inserted] =
       index_.emplace(addr, static_cast<std::uint32_t>(addrs_.size()));
   if (inserted) {
     addrs_.push_back(addr);
     masks_.push_back(source_bit(source));
   } else {
-    masks_[it->second] |= source_bit(source);
+    masks_[i] |= source_bit(source);
   }
   V6_INVARIANT_MSG(addrs_.size() == masks_.size() &&
                        addrs_.size() == index_.size(),
                    "address / mask / index stores out of sync");
 }
 
+void SeedDataset::reserve(std::size_t n) {
+  addrs_.reserve(n);
+  masks_.reserve(n);
+  index_.reserve(n);
+}
+
 std::uint16_t SeedDataset::sources_of(const v6::net::Ipv6Addr& addr) const {
-  const auto it = index_.find(addr);
-  if (it == index_.end()) return 0;
-  V6_INVARIANT(it->second < masks_.size());
-  return masks_[it->second];
+  const std::uint32_t* i = index_.find(addr);
+  if (i == nullptr) return 0;
+  V6_INVARIANT(*i < masks_.size());
+  return masks_[*i];
 }
 
 std::vector<v6::net::Ipv6Addr> SeedDataset::from_source(

@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "check/contracts.h"
+#include "net/addr_index.h"
 #include "net/ipv6.h"
 #include "seeds/source.h"
 
@@ -18,6 +18,9 @@ class SeedDataset {
   /// Records that `addr` was observed by `source`. Idempotent per
   /// (addr, source); an address may carry several source bits.
   void add(const v6::net::Ipv6Addr& addr, SeedSource source);
+
+  /// Pre-sizes the stores for `n` unique addresses.
+  void reserve(std::size_t n);
 
   /// Unique addresses in first-seen order.
   std::span<const v6::net::Ipv6Addr> addrs() const { return addrs_; }
@@ -47,7 +50,8 @@ class SeedDataset {
  private:
   std::vector<v6::net::Ipv6Addr> addrs_;
   std::vector<std::uint16_t> masks_;
-  std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> index_;
+  /// addr -> its position in addrs_ and masks_.
+  v6::net::AddrIndexMap index_;
 };
 
 }  // namespace v6::seeds

@@ -81,8 +81,8 @@ std::vector<Ipv6Addr> TracerouteEngine::visible_routers(
   return out;
 }
 
-std::vector<TraceHop> TracerouteEngine::trace(const Ipv6Addr& target,
-                                              const VantageProfile& vantage) {
+std::vector<TraceHop> TracerouteEngine::trace(
+    const Ipv6Addr& target, const VantageProfile& vantage) const {
   std::vector<TraceHop> path;
   const auto dest_asn = universe_->asn_of(target);
   if (!dest_asn) return path;
@@ -97,7 +97,6 @@ std::vector<TraceHop> TracerouteEngine::trace(const Ipv6Addr& target,
     const int hops =
         std::min<int>(max_hops, v6::net::uniform_int(rng, 1, 2));
     for (int h = 0; h < hops; ++h) {
-      ++probes_;
       TraceHop hop;
       hop.addr = visible[v6::net::uniform_int<std::size_t>(
           rng, 0, visible.size() - 1)];
@@ -125,9 +124,9 @@ std::vector<TraceHop> TracerouteEngine::trace(const Ipv6Addr& target,
   return path;
 }
 
-std::vector<Ipv6Addr> TracerouteEngine::campaign(std::size_t num_targets,
-                                                 const VantageProfile& vantage,
-                                                 std::uint64_t campaign_tag) {
+std::vector<Ipv6Addr> TracerouteEngine::campaign(
+    std::size_t num_targets, const VantageProfile& vantage,
+    std::uint64_t campaign_tag) const {
   std::vector<Ipv6Addr> out;
   std::unordered_map<Ipv6Addr, bool, v6::net::Ipv6AddrHash> seen;
   Rng rng = v6::net::make_rng(seed_, 0xCA4 ^ campaign_tag);

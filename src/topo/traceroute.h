@@ -37,6 +37,8 @@ struct VantageProfile {
   double hop_response_prob = 0.85;
 };
 
+/// Immutable after construction: trace() and campaign() are const, so
+/// concurrent campaigns may share one engine.
 class TracerouteEngine {
  public:
   TracerouteEngine(const v6::simnet::Universe& universe, std::uint64_t seed);
@@ -45,7 +47,7 @@ class TracerouteEngine {
   /// provider chain plus the destination AS. Deterministic per
   /// (engine seed, target, vantage).
   std::vector<TraceHop> trace(const v6::net::Ipv6Addr& target,
-                              const VantageProfile& vantage);
+                              const VantageProfile& vantage) const;
 
   /// Runs a campaign: traces toward `num_targets` addresses spread over
   /// announced space and returns the unique responding interfaces
@@ -53,12 +55,10 @@ class TracerouteEngine {
   /// real archive would).
   std::vector<v6::net::Ipv6Addr> campaign(std::size_t num_targets,
                                           const VantageProfile& vantage,
-                                          std::uint64_t campaign_tag);
+                                          std::uint64_t campaign_tag) const;
 
   /// The synthesized upstream providers of `asn`.
   const std::vector<std::uint32_t>& upstreams(std::uint32_t asn) const;
-
-  std::uint64_t probes_sent() const { return probes_; }
 
  private:
   /// Routers of one AS whose interface hash lies inside the vantage band.
@@ -68,7 +68,6 @@ class TracerouteEngine {
 
   const v6::simnet::Universe* universe_;
   std::uint64_t seed_;
-  std::uint64_t probes_ = 0;
   /// asn -> interface addresses of its (historically active) routers.
   /// Addresses, not indices: there is no materialized host table to
   /// index into on a procedural universe.

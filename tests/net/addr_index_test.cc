@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ipv6.h"
@@ -43,6 +44,14 @@ TEST(AddrIndexMap, DuplicateInsertKeepsFirstValue) {
   EXPECT_FALSE(map.insert(addr_of(5, 5), 2));
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(*map.find(addr_of(5, 5)), 1u);
+}
+
+TEST(AddrIndexMap, EmplaceReturnsTheStoredValue) {
+  AddrIndexMap map;
+  EXPECT_EQ(map.emplace(addr_of(5, 5), 1), std::make_pair(1u, true));
+  EXPECT_EQ(map.emplace(addr_of(5, 5), 2), std::make_pair(1u, false));
+  EXPECT_EQ(map.emplace(addr_of(5, 6), 3), std::make_pair(3u, true));
+  EXPECT_EQ(map.size(), 2u);
 }
 
 TEST(AddrIndexMap, GrowsPastInitialCapacity) {

@@ -1,0 +1,75 @@
+// SeedCollector::collect_all() runs its sources on two lanes; it must
+// give exactly the serial fold of collect() over kAllSeedSources. This
+// suite is labelled `concurrency`, so the tsan preset checks that the
+// lanes share nothing but the const universe, the traceroute engine and
+// the once-built DNS zone.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "seeds/collector.h"
+#include "seeds/seed_dataset.h"
+#include "testutil/fixtures.h"
+
+namespace v6::seeds {
+namespace {
+
+using v6::testutil::small_universe;
+
+/// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(SeedCollector, CollectAllMatchesSerialMerge) {
+  SeedDataset serial;
+  {
+    const SeedCollector collector(small_universe(), 42);
+    for (const SeedSource source : kAllSeedSources) {
+      for (const auto& addr : collector.collect(source)) {
+        serial.add(addr, source);
+      }
+    }
+  }
+  ASSERT_FALSE(serial.empty());
+
+  // V6_JOBS picks the lanes: "2" runs the worker lane beside the
+  // calling thread on any host, "1" runs both inline.
+  for (const char* jobs : {"2", "1"}) {
+    const ScopedEnv env("V6_JOBS", jobs);
+    // A fresh collector, so collect_all() builds the zone itself while
+    // the worker lane runs.
+    const SeedCollector collector(small_universe(), 42);
+    const SeedDataset merged = collector.collect_all();
+    ASSERT_EQ(merged.size(), serial.size()) << "V6_JOBS=" << jobs;
+    EXPECT_TRUE(std::ranges::equal(merged.addrs(), serial.addrs()))
+        << "V6_JOBS=" << jobs;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(merged.sources_of(i), serial.sources_of(i))
+          << "V6_JOBS=" << jobs << " seed " << i;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace v6::seeds

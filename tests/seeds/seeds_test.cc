@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "net/rng.h"
 #include "probe/scanner.h"
 #include "probe/transport.h"
 #include "seeds/collector.h"
@@ -53,6 +56,48 @@ TEST(SeedDataset, FromSourceSelectsByBit) {
   const auto censys = dataset.from_source(SeedSource::kCensys);
   EXPECT_EQ(censys.size(), 2u);
   EXPECT_EQ(dataset.count(SeedSource::kScamper), 1u);
+}
+
+/// A key from a 16k-address space spread over both halves of the
+/// address, so 20k draws repeat often and grow the tables through
+/// several rehashes.
+Ipv6Addr random_key(v6::net::Rng& rng) {
+  const std::uint64_t k = rng() % 16'384;
+  return Ipv6Addr(0x20010db800000000ULL | (k % 61), k / 61);
+}
+
+TEST(SeedDataset, MatchesUnorderedMapReferenceAcrossGrowth) {
+  SeedDataset dataset;
+  std::unordered_map<Ipv6Addr, std::uint16_t, v6::net::Ipv6AddrHash> reference;
+  std::vector<Ipv6Addr> first_seen;
+  v6::net::Rng rng(17);
+  for (int i = 0; i < 20'000; ++i) {
+    if (i == 10'000) dataset.reserve(30'000);  // a rehash mid-stream
+    const Ipv6Addr addr = random_key(rng);
+    const SeedSource source = kAllSeedSources[rng() % kNumSeedSources];
+    dataset.add(addr, source);
+    const auto [it, inserted] = reference.emplace(addr, 0);
+    if (inserted) first_seen.push_back(addr);
+    it->second |= source_bit(source);
+
+    const Ipv6Addr probe = random_key(rng);  // absent about half the time
+    const auto ref = reference.find(probe);
+    ASSERT_EQ(dataset.contains(probe), ref != reference.end());
+    ASSERT_EQ(dataset.sources_of(probe),
+              ref == reference.end() ? 0 : ref->second);
+  }
+  ASSERT_EQ(dataset.size(), first_seen.size());
+  for (std::size_t i = 0; i < first_seen.size(); ++i) {
+    ASSERT_EQ(dataset.addrs()[i], first_seen[i]) << "index " << i;
+    ASSERT_EQ(dataset.sources_of(i), reference.at(first_seen[i]));
+  }
+  for (const SeedSource source : kAllSeedSources) {
+    const std::size_t expected = static_cast<std::size_t>(
+        std::count_if(first_seen.begin(), first_seen.end(), [&](const auto& a) {
+          return (reference.at(a) & source_bit(source)) != 0;
+        }));
+    EXPECT_EQ(dataset.count(source), expected) << to_string(source);
+  }
 }
 
 TEST(SourceMeta, CategoriesMatchPaperTable3) {
@@ -147,6 +192,44 @@ TEST(ActivityMap, SetAndQuery) {
   EXPECT_FALSE(activity.active_on(addr_n(1), ProbeType::kUdp53));
   EXPECT_TRUE(activity.active_any(addr_n(1)));
   EXPECT_FALSE(activity.active_any(addr_n(2)));
+}
+
+TEST(ActivityMap, MatchesUnorderedMapReferenceAcrossGrowth) {
+  ActivityMap activity;
+  std::unordered_map<Ipv6Addr, v6::net::ServiceMask, v6::net::Ipv6AddrHash>
+      reference;
+  std::vector<Ipv6Addr> keys;
+  v6::net::Rng rng(23);
+  for (int i = 0; i < 20'000; ++i) {
+    const Ipv6Addr addr = random_key(rng);
+    if (!reference.contains(addr)) keys.push_back(addr);
+    if (rng() % 4 == 0) {
+      // set() overwrites whatever merge_bit() accumulated.
+      const auto mask = static_cast<v6::net::ServiceMask>(rng() % 16);
+      activity.set(addr, mask);
+      reference[addr] = mask;
+    } else {
+      const ProbeType type =
+          v6::net::kAllProbeTypes[rng() % v6::net::kNumProbeTypes];
+      activity.merge_bit(addr, type);
+      reference[addr] |= v6::net::service_bit(type);
+    }
+
+    const Ipv6Addr probe = random_key(rng);  // absent about half the time
+    const auto ref = reference.find(probe);
+    const v6::net::ServiceMask expected =
+        ref == reference.end() ? 0 : ref->second;
+    ASSERT_EQ(activity.of(probe), expected);
+    ASSERT_EQ(activity.active_any(probe), expected != 0);
+    for (const ProbeType type : v6::net::kAllProbeTypes) {
+      ASSERT_EQ(activity.active_on(probe, type),
+                v6::net::has_service(expected, type));
+    }
+  }
+  EXPECT_EQ(activity.size(), reference.size());
+  for (const Ipv6Addr& addr : keys) {
+    ASSERT_EQ(activity.of(addr), reference.at(addr)) << addr.to_string();
+  }
 }
 
 TEST(Preprocess, ScanActivityMatchesGroundTruth) {

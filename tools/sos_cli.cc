@@ -357,8 +357,8 @@ const std::vector<v6::net::Ipv6Addr>& pick_dataset(
 }
 
 int cmd_universe(const Args& args) {
-  v6::experiment::Workbench bench(bench_config(args));
-  const auto& universe = bench.universe();
+  const v6::simnet::Universe universe =
+      v6::simnet::UniverseBuilder::build(bench_config(args).universe);
   std::cout << "hosts:          " << fmt_count(universe.hosts().size())
             << "\n";
   std::cout << "ASes:           " << fmt_count(universe.asdb().size())
@@ -726,9 +726,9 @@ int cmd_collect(const Args& args) {
     std::cerr << "\n";
     return 1;
   }
-  v6::experiment::Workbench bench(bench_config(args));
-  v6::seeds::SeedCollector collector(bench.universe(),
-                                     args.get_u64("seed", 42));
+  const v6::simnet::Universe universe =
+      v6::simnet::UniverseBuilder::build(bench_config(args).universe);
+  v6::seeds::SeedCollector collector(universe, args.get_u64("seed", 42));
   const auto addrs = collector.collect(*source);
   std::cout << v6::seeds::to_string(*source) << ": "
             << fmt_count(addrs.size()) << " addresses\n";
@@ -855,9 +855,9 @@ int cmd_trace(const Args& args) {
     std::cerr << "usage: sos trace <ipv6-address>\n";
     return 1;
   }
-  v6::experiment::Workbench bench(bench_config(args));
-  v6::topo::TracerouteEngine engine(bench.universe(),
-                                    args.get_u64("seed", 42));
+  const v6::simnet::Universe universe =
+      v6::simnet::UniverseBuilder::build(bench_config(args).universe);
+  const v6::topo::TracerouteEngine engine(universe, args.get_u64("seed", 42));
   const auto path = engine.trace(*target, {});
   if (path.empty()) {
     std::cout << "no route toward " << target->to_string() << "\n";
@@ -867,7 +867,7 @@ int cmd_trace(const Args& args) {
     std::cout << hop.ttl << "  "
               << (hop.responded ? hop.addr.to_string() : "*") << "  AS"
               << hop.asn;
-    if (const auto* info = bench.universe().asdb().find(hop.asn)) {
+    if (const auto* info = universe.asdb().find(hop.asn)) {
       std::cout << " (" << info->name << ")";
     }
     std::cout << "\n";
