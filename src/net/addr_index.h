@@ -7,7 +7,10 @@
 // common case) and probes linearly from a mixed hash. Deletion is not
 // supported — the universe only ever grows (UniverseBuilder::build and
 // the aging birth pass), and so do the seed dataset and activity map,
-// which keeps the table tombstone-free.
+// which keeps the table tombstone-free. A user whose set shrinks
+// compacts its own storage and rebuilds the table after compaction,
+// clear() plus reinsertion: service::RescanScheduler does so after each
+// eviction pass.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,14 @@
 // StallWatchdog: per-stage progress heartbeats with a wall-clock
 // deadline, the liveness half of the introspection plane.
 //
-// A pipeline stage (StreamScanner's producer/prober/receiver loops, the
-// HitlistService refresh cycle) registers a named Heartbeat and beats it
-// every unit of progress — one relaxed atomic increment, cheap enough
-// for per-batch call sites. A monitor thread (spawned through
-// runtime::WorkerGroup; obs may depend on runtime, tools/lint/layers.txt)
-// polls the beat counts: an *armed* stage whose count has not moved for
-// `deadline_seconds` of steady_clock time is stalled. On the first
+// A pipeline stage (StreamScanner's `stream.scan` loop or its
+// `stream.prober.<s>` shard workers, the HitlistService refresh cycle)
+// registers a named Heartbeat and beats it every unit of progress — one
+// relaxed atomic increment, cheap enough for per-batch call sites. A
+// monitor thread (spawned through runtime::WorkerGroup; obs may depend
+// on runtime, tools/lint/layers.txt) polls the beat counts: an *armed*
+// stage whose count has not moved for `deadline_seconds` of
+// steady_clock time is stalled. On the first
 // expiry per stall the watchdog bumps `watchdog.trips.wall`, sets the
 // `watchdog.stalled.wall` gauge, and fires the on_stall handler exactly
 // once per stalled stage — the `sos serve` wiring uses that to dump the

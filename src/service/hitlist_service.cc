@@ -54,7 +54,7 @@ HitlistService::HitlistService(v6::simnet::Universe& universe,
                  ? std::vector<v6::tga::TgaKind>(v6::tga::kAllTgas.begin(),
                                                  v6::tga::kAllTgas.end())
                  : config_.kinds),
-      generators_(kinds_, config_.seed),
+      generators_(kinds_, config_.seed, config_.telemetry),
       scheduler_(config_.rescan),
       bandit_(kinds_.size(), config_.seed, config_.explore_floor) {
   generators_.prepare(seeds);
@@ -62,6 +62,7 @@ HitlistService::HitlistService(v6::simnet::Universe& universe,
 }
 
 void HitlistService::ingest_seeds(const SeedDelta& delta) {
+  const v6::obs::Span span(config_.telemetry, "service.ingest");
   if (delta.empty()) return;
   generators_.ingest(delta);
   for (const Ipv6Addr& addr : delta.added) scheduler_.track(addr);
@@ -100,10 +101,14 @@ const HitlistEpoch& HitlistService::refresh_once() {
   const auto wall_start = std::chrono::steady_clock::now();
 
   // 1. Churn: the universe moves first, then the service chases it.
-  if (config_.age_universe && cycle > 1) {
-    v6::simnet::AgingConfig aging = config_.aging;
-    aging.seed = v6::net::derive_seed(config_.seed, kAgingTag + cycle);
-    v6::simnet::UniverseBuilder::age(*universe_, aging);
+  // Each phase runs under its own `service.refresh.<phase>` span.
+  {
+    const v6::obs::Span span(telemetry, "service.refresh.age");
+    if (config_.age_universe && cycle > 1) {
+      v6::simnet::AgingConfig aging = config_.aging;
+      aging.seed = v6::net::derive_seed(config_.seed, kAgingTag + cycle);
+      v6::simnet::UniverseBuilder::age(*universe_, aging);
+    }
   }
 
   // One streaming scanner per cycle, built after aging so it sees the
@@ -122,14 +127,18 @@ const HitlistEpoch& HitlistService::refresh_once() {
 
   // 2. Rescans: every tracked address whose interval is due, probed in
   // sorted order. Results update the per-address history.
-  const std::vector<Ipv6Addr> due = scheduler_.due(cycle);
-  if (!due.empty()) {
-    scanner.scan(due, config_.type, [&](const Ipv6Addr& addr,
-                                        ProbeReply reply) {
-      scheduler_.note_result(addr, v6::net::is_hit(config_.type, reply), cycle);
-    });
-    stats_.rescans += due.size();
-    stats_.probes += due.size();
+  {
+    const v6::obs::Span span(telemetry, "service.refresh.rescan");
+    const std::vector<Ipv6Addr> due = scheduler_.due(cycle);
+    if (!due.empty()) {
+      scanner.scan(due, config_.type, [&](const Ipv6Addr& addr,
+                                          ProbeReply reply) {
+        scheduler_.note_result(addr, v6::net::is_hit(config_.type, reply),
+                               cycle);
+      });
+      stats_.rescans += due.size();
+      stats_.probes += due.size();
+    }
   }
   refresh_stage.beat();
 
@@ -137,36 +146,45 @@ const HitlistEpoch& HitlistService::refresh_once() {
   // in roster order; hits feed the generators (online models), the
   // scheduler (they join the rescan set), and the bandit (next cycle's
   // shares).
-  last_allocation_ = bandit_.allocate(config_.budget_per_cycle);
-  for (std::size_t arm = 0; arm < kinds_.size(); ++arm) {
-    if (last_allocation_[arm] == 0) continue;
-    v6::tga::TargetGenerator& generator = generators_.generator(arm);
-    const std::vector<Ipv6Addr> targets = generator.next_batch(
-        static_cast<std::size_t>(last_allocation_[arm]));
-    if (targets.empty()) continue;
-    std::uint64_t hits = 0;
-    scanner.scan(targets, config_.type,
-                 [&](const Ipv6Addr& addr, ProbeReply reply) {
-                   const bool hit = v6::net::is_hit(config_.type, reply);
-                   generator.observe(addr, hit);
-                   if (!hit) return;
-                   ++hits;
-                   if (!scheduler_.contains(addr)) ++stats_.discovered;
-                   scheduler_.note_result(addr, true, cycle);
-                 });
-    stats_.probes += targets.size();
-    bandit_.reward(arm, targets.size(), hits);
-    refresh_stage.beat();
+  {
+    const v6::obs::Span span(telemetry, "service.refresh.discover");
+    last_allocation_ = bandit_.allocate(config_.budget_per_cycle);
+    for (std::size_t arm = 0; arm < kinds_.size(); ++arm) {
+      if (last_allocation_[arm] == 0) continue;
+      v6::tga::TargetGenerator& generator = generators_.generator(arm);
+      const std::vector<Ipv6Addr> targets = generator.next_batch(
+          static_cast<std::size_t>(last_allocation_[arm]));
+      if (targets.empty()) continue;
+      std::uint64_t hits = 0;
+      scanner.scan(targets, config_.type,
+                   [&](const Ipv6Addr& addr, ProbeReply reply) {
+                     const bool hit = v6::net::is_hit(config_.type, reply);
+                     generator.observe(addr, hit);
+                     if (!hit) return;
+                     ++hits;
+                     if (!scheduler_.contains(addr)) ++stats_.discovered;
+                     scheduler_.note_result(addr, true, cycle);
+                   });
+      stats_.probes += targets.size();
+      bandit_.reward(arm, targets.size(), hits);
+      refresh_stage.beat();
+    }
   }
 
   // 4. Decay: addresses past the miss-streak threshold leave the
   // tracked set (and therefore the next epoch).
-  stats_.evicted += scheduler_.evict_churned();
+  {
+    const v6::obs::Span span(telemetry, "service.refresh.evict");
+    stats_.evicted += scheduler_.evict_churned();
+  }
 
   // 5. Publish the surviving responsive set as the next epoch.
-  HitlistStore::EpochBuilder builder = store_.begin_epoch();
-  builder.add_all(scheduler_.responsive());
-  const HitlistEpoch& epoch = store_.publish_epoch(std::move(builder));
+  const HitlistEpoch& epoch = [&]() -> const HitlistEpoch& {
+    const v6::obs::Span span(telemetry, "service.refresh.publish");
+    HitlistStore::EpochBuilder builder = store_.begin_epoch();
+    builder.add_all(scheduler_.responsive());
+    return store_.publish_epoch(std::move(builder));
+  }();
 
   stats_.cycles = cycle;
   stats_.virtual_seconds += scanner.virtual_seconds();

@@ -17,6 +17,12 @@
 //   5. publish the surviving responsive set as the next immutable
 //      HitlistStore epoch.
 //
+// With a Telemetry attached, the steps run under the spans
+// `service.refresh.{age,rescan,discover,evict,publish}`, ingest_seeds()
+// under `service.ingest`, and the roster records one
+// `service.retrain.<kind>` timer per arm and fan-out
+// (docs/OBSERVABILITY.md).
+//
 // Everything is a pure function of (universe state, ServiceConfig):
 // scan replies are stateless per (addr, attempt, seed), the scheduler
 // iterates in sorted address order, the bandit is seeded, and the
@@ -81,9 +87,9 @@ struct ServiceConfig {
   /// Optional liveness plane (borrowed; may be null): the refresh loop
   /// arms a `service.refresh` heartbeat beaten once per phase, and the
   /// watchdog is threaded into the cycle's streaming scanner so its
-  /// producer/prober/receiver stages report too. Wall-side only — a
-  /// watchdog never changes the epoch sequence
-  /// (docs/OBSERVABILITY.md "Live introspection").
+  /// `stream.scan` (one shard) or `stream.prober.<s>` (per shard)
+  /// stages report too. Wall-side only — a watchdog never changes the
+  /// epoch sequence (docs/OBSERVABILITY.md "Live introspection").
   v6::obs::StallWatchdog* watchdog = nullptr;
 
   ServiceConfig& with_seed(std::uint64_t v) { seed = v; return *this; }

@@ -1,6 +1,8 @@
 #include "service/incremental_tga.h"
 
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 
 #include "net/rng.h"
 #include "runtime/thread_pool.h"
@@ -9,12 +11,54 @@ namespace v6::service {
 
 using v6::net::Ipv6Addr;
 
+namespace {
+
+/// Fan-out claim rank: the retrains measured longest go first.
+int claim_rank(v6::tga::TgaKind kind) {
+  switch (kind) {
+    case v6::tga::TgaKind::kSixGraph: return 0;
+    case v6::tga::TgaKind::kDet: return 1;
+    default: return 2;
+  }
+}
+
+}  // namespace
+
 IncrementalRoster::IncrementalRoster(std::span<const v6::tga::TgaKind> kinds,
-                                     std::uint64_t seed) {
+                                     std::uint64_t seed,
+                                     v6::obs::Telemetry* telemetry)
+    : telemetry_(telemetry) {
   arms_.reserve(kinds.size());
   for (std::size_t i = 0; i < kinds.size(); ++i) {
+    std::string timer_name = "service.retrain.";
+    for (const char c : v6::tga::to_string(kinds[i])) {
+      timer_name += static_cast<char>(
+          std::tolower(static_cast<unsigned char>(c)));
+    }
     arms_.push_back({.generator = v6::tga::make_generator(kinds[i]),
-                     .rng_seed = v6::net::derive_seed(seed, 0x76A0 + i)});
+                     .rng_seed = v6::net::derive_seed(seed, 0x76A0 + i),
+                     .timer_name = std::move(timer_name)});
+    claim_order_.push_back(i);
+  }
+  std::ranges::stable_sort(claim_order_, {}, [&](std::size_t i) {
+    return claim_rank(kinds[i]);
+  });
+}
+
+template <typename Fn>
+void IncrementalRoster::fan_out(Fn retrain) {
+  v6::runtime::parallel_for(0, arms_.size(), [&](std::size_t k) {
+    Arm& arm = arms_[claim_order_[k]];
+    const auto start = std::chrono::steady_clock::now();
+    retrain(arm);
+    arm.retrain_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  });
+  if (telemetry_ == nullptr) return;
+  for (const Arm& arm : arms_) {
+    telemetry_->registry().timer(arm.timer_name).record_seconds(
+        arm.retrain_seconds);
   }
 }
 
@@ -24,8 +68,7 @@ void IncrementalRoster::prepare(std::span<const Ipv6Addr> seeds) {
   for (const Ipv6Addr& addr : seeds) {
     if (seed_set_.insert(addr).second) seeds_.push_back(addr);
   }
-  v6::runtime::parallel_for(0, arms_.size(), [this](std::size_t i) {
-    Arm& arm = arms_[i];
+  fan_out([this](Arm& arm) {
     arm.generator->prepare(seeds_, arm.rng_seed);
     arm.incremental_updates = 0;
     arm.full_rebuilds = 0;
@@ -58,8 +101,7 @@ void IncrementalRoster::ingest(const SeedDelta& delta) {
   // Addition-only deltas fold in place where the model can (absorb_seeds
   // never reads the ledger); models cannot unlearn, so a removal
   // retrains every arm from the filtered ledger.
-  v6::runtime::parallel_for(0, arms_.size(), [&](std::size_t i) {
-    Arm& arm = arms_[i];
+  fan_out([&](Arm& arm) {
     if (!removed_any && arm.generator->absorb_seeds(fresh)) {
       ++arm.incremental_updates;
       return;

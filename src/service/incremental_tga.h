@@ -25,17 +25,29 @@
 // generator sees the same call sequence with the same RNG seed at any
 // thread count, so the roster's output is independent of `V6_JOBS`.
 //
+// The fan-out claims the longest retrains first — 6Graph, then DET, then
+// the rest in roster order — so the long pole starts at once instead of
+// behind a queue of short arms. Claim order only decides which thread
+// runs an arm when: arm i keeps kinds[i] and its RNG seed, and writes
+// only its own slot, so no output depends on it.
+//
 // The ingest statistics (incremental vs full) are what the service
-// reports, so the cost of a churn stream is observable.
+// reports, so the cost of a churn stream is observable. With a
+// Telemetry attached, every fan-out also records one
+// `service.retrain.<kind>` timer per arm (kind in lowercase): each pool
+// thread times its own arm into the arm's slot, and the calling thread
+// records the slots after the join, in roster order.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "net/ipv6.h"
+#include "obs/telemetry.h"
 #include "tga/registry.h"
 #include "tga/target_generator.h"
 
@@ -53,8 +65,11 @@ class IncrementalRoster {
  public:
   /// One arm per entry of `kinds`, in order. Arm i forwards
   /// derive_seed(seed, 0x76A0 + i) to every prepare() call.
+  /// `telemetry` (borrowed; may be null) receives the per-arm retrain
+  /// timers.
   IncrementalRoster(std::span<const v6::tga::TgaKind> kinds,
-                    std::uint64_t seed);
+                    std::uint64_t seed,
+                    v6::obs::Telemetry* telemetry = nullptr);
 
   /// Full (re)train of every arm from `seeds`, replacing the ledger
   /// (first occurrence of each address kept). Resets the ingest
@@ -86,9 +101,20 @@ class IncrementalRoster {
     std::uint64_t rng_seed = 0;
     std::uint64_t incremental_updates = 0;
     std::uint64_t full_rebuilds = 0;
+    /// `service.retrain.<kind>`, and the last fan-out's time on this arm.
+    std::string timer_name;
+    double retrain_seconds = 0.0;
   };
 
+  /// Runs `retrain(arm)` on every arm across the pool, longest first,
+  /// then records the per-arm timers.
+  template <typename Fn>
+  void fan_out(Fn retrain);
+
   std::vector<Arm> arms_;
+  /// Arm indices in fan-out claim order.
+  std::vector<std::size_t> claim_order_;
+  v6::obs::Telemetry* telemetry_ = nullptr;
   /// Authoritative merged seed list, insertion-ordered so rebuilds are
   /// reproducible; `seed_set_` guards against duplicates.
   std::vector<v6::net::Ipv6Addr> seeds_;

@@ -1,7 +1,9 @@
 #include "service/rescan_scheduler.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <span>
 
 #include "check/contracts.h"
 
@@ -9,17 +11,23 @@ namespace v6::service {
 
 using v6::net::Ipv6Addr;
 
-void RescanScheduler::track(const Ipv6Addr& addr) {
-  history_.try_emplace(addr);
+RescanScheduler::History& RescanScheduler::entry(const Ipv6Addr& addr) {
+  V6_REQUIRE_MSG(entries_.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "entry positions must fit the index's 32-bit values");
+  const auto [pos, inserted] =
+      index_.emplace(addr, static_cast<std::uint32_t>(entries_.size()));
+  if (inserted) entries_.push_back({.addr = addr, .history = {}});
+  return entries_[pos].history;
 }
+
+void RescanScheduler::track(const Ipv6Addr& addr) { entry(addr); }
 
 void RescanScheduler::note_result(const Ipv6Addr& addr, bool responsive,
                                   std::uint64_t cycle) {
-  History& h = history_[addr];
+  History& h = entry(addr);
   h.last_probed = cycle;
   h.probed_once = true;
   if (responsive) {
-    h.last_responsive = cycle;
     h.miss_streak = 0;
     h.responsive = true;
   } else {
@@ -28,35 +36,60 @@ void RescanScheduler::note_result(const Ipv6Addr& addr, bool responsive,
   }
 }
 
-std::vector<Ipv6Addr> RescanScheduler::due(std::uint64_t cycle) const {
-  std::vector<Ipv6Addr> out;
-  for (const auto& [addr, h] : history_) {
-    // Never-probed addresses (fresh seeds, fresh discoveries fed via
-    // track) are always due; probed ones wait out the interval.
-    if (!h.probed_once || cycle >= h.last_probed + policy_.rescan_interval) {
-      out.push_back(addr);
+template <typename Pred>
+std::vector<Ipv6Addr> RescanScheduler::sorted_matches(Pred pred) const {
+  const auto collect = [&](std::span<const Entry> entries,
+                           std::vector<Ipv6Addr>& out) {
+    for (const Entry& e : entries) {
+      if (pred(e.history)) out.push_back(e.addr);
     }
-  }
-  return out;  // map order == sorted order
-}
-
-std::vector<Ipv6Addr> RescanScheduler::responsive() const {
+  };
+  const std::span<const Entry> all(entries_);
   std::vector<Ipv6Addr> out;
-  for (const auto& [addr, h] : history_) {
-    if (h.responsive) out.push_back(addr);
-  }
+  out.reserve(entries_.size());
+  collect(all.first(sorted_), out);
+  const std::ptrdiff_t from_prefix = std::ssize(out);
+  collect(all.subspan(sorted_), out);
+  // The tail's matches are in insertion order: sort them, merge them in.
+  const auto mid = out.begin() + from_prefix;
+  std::sort(mid, out.end());
+  std::inplace_merge(out.begin(), mid, out.end());
   return out;
 }
 
+std::vector<Ipv6Addr> RescanScheduler::due(std::uint64_t cycle) const {
+  // Never-probed addresses (fresh seeds, fresh discoveries fed via
+  // track) are always due; probed ones wait out the interval. The
+  // difference cannot wrap the way last_probed + interval could.
+  return sorted_matches([&](const History& h) {
+    return !h.probed_once || (cycle >= h.last_probed &&
+                              cycle - h.last_probed >= policy_.rescan_interval);
+  });
+}
+
+std::vector<Ipv6Addr> RescanScheduler::responsive() const {
+  return sorted_matches([](const History& h) { return h.responsive; });
+}
+
 std::size_t RescanScheduler::evict_churned() {
-  std::size_t evicted = 0;
-  for (auto it = history_.begin(); it != history_.end();) {
-    if (it->second.probed_once && !it->second.responsive &&
-        it->second.miss_streak >= policy_.max_miss_streak) {
-      it = history_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
+  const auto by_addr = [](const Entry& a, const Entry& b) {
+    return a.addr < b.addr;
+  };
+  const auto tail = entries_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  const bool had_tail = tail != entries_.end();
+  std::sort(tail, entries_.end(), by_addr);
+  std::inplace_merge(entries_.begin(), tail, entries_.end(), by_addr);
+  const std::size_t evicted = std::erase_if(entries_, [this](const Entry& e) {
+    return e.history.probed_once && !e.history.responsive &&
+           e.history.miss_streak >= policy_.max_miss_streak;
+  });
+  sorted_ = entries_.size();
+  // AddrIndexMap cannot erase: when anything moved, refill the table
+  // (clear() keeps its slots) with the compacted positions.
+  if (had_tail || evicted > 0) {
+    index_.clear();
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      index_.insert(entries_[i].addr, static_cast<std::uint32_t>(i));
     }
   }
   return evicted;

@@ -2,13 +2,26 @@
 // continuous service (docs/SERVICE.md).
 //
 // RescanScheduler keeps a per-address responsiveness history — last
-// probed cycle, last responsive cycle, consecutive-miss streak — and
-// decides, each refresh cycle, which known addresses are due a rescan
-// and which have churned out (miss streak past the eviction threshold).
-// The history lives in a std::map keyed by address, so every iteration
-// order is the sorted address order and the schedule is a pure function
-// of (history, policy, cycle): bit-identical across runs, jobs counts,
-// and shard counts.
+// probed cycle, consecutive-miss streak, current state — and decides,
+// each refresh cycle, which known addresses are due a rescan and which
+// have churned out (miss streak past the eviction threshold).
+//
+// Layout: one flat vector of {address, history} entries plus an
+// AddrIndexMap from address to position, so track(), note_result() and
+// contains() are one table probe each. The vector's prefix is sorted by
+// address; its tail holds the addresses tracked or discovered since the
+// last eviction, in insertion order. due() and responsive() are one pass
+// over the vector: the prefix's matches come out sorted, the tail's are
+// sorted and merged in. evict_churned() sorts the tail, merges it into
+// the prefix, drops the churned entries and rebuilds the index, so after
+// it the whole vector is sorted again.
+//
+// Determinism: addresses are unique, so sorted address order is a total
+// order that does not depend on when an address arrived. Every output is
+// in that order and every decision is a pure function of (history,
+// policy, cycle): bit-identical across runs, jobs counts, and shard
+// counts, and equal to the ordered-map scheduler this layout replaced
+// (tests/service/scheduler_test.cc keeps it as an oracle).
 //
 // BanditAllocator reapportions the discovery budget across the TGAs by
 // measured hit ratio — a deterministic explore-floor bandit. Every arm
@@ -22,9 +35,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "net/addr_index.h"
 #include "net/ipv6.h"
 #include "net/rng.h"
 
@@ -52,7 +65,9 @@ class RescanScheduler {
   void note_result(const v6::net::Ipv6Addr& addr, bool responsive,
                    std::uint64_t cycle);
 
-  /// Addresses whose rescan is due at `cycle`, in sorted address order.
+  /// Addresses whose rescan is due at `cycle`, in sorted address order:
+  /// never-probed ones, and probed ones at least `rescan_interval`
+  /// cycles past their last probe.
   std::vector<v6::net::Ipv6Addr> due(std::uint64_t cycle) const;
 
   /// Currently-responsive addresses in sorted order — the contents of
@@ -63,26 +78,38 @@ class RescanScheduler {
   /// threshold; returns how many were evicted.
   std::size_t evict_churned();
 
-  std::size_t tracked() const { return history_.size(); }
+  std::size_t tracked() const { return entries_.size(); }
 
   /// Whether `addr` already has a history entry.
   bool contains(const v6::net::Ipv6Addr& addr) const {
-    return history_.contains(addr);
+    return index_.contains(addr);
   }
 
  private:
   struct History {
     std::uint64_t last_probed = 0;
-    std::uint64_t last_responsive = 0;
     int miss_streak = 0;
     bool responsive = false;
     bool probed_once = false;
   };
+  struct Entry {
+    v6::net::Ipv6Addr addr;
+    History history;
+  };
+
+  /// The history of `addr`, appended to the unsorted tail if new.
+  History& entry(const v6::net::Ipv6Addr& addr);
+
+  /// The addresses of the entries matching `pred`, in sorted order.
+  template <typename Pred>
+  std::vector<v6::net::Ipv6Addr> sorted_matches(Pred pred) const;
 
   RescanPolicy policy_;
-  /// Ordered map: every traversal yields sorted addresses, which is
-  /// what keeps due()/responsive() deterministic.
-  std::map<v6::net::Ipv6Addr, History> history_;
+  /// [0, sorted_) sorted by address; [sorted_, size) in insertion order.
+  std::vector<Entry> entries_;
+  std::size_t sorted_ = 0;
+  /// addr -> its position in entries_; evict_churned() rebuilds it.
+  v6::net::AddrIndexMap index_;
 };
 
 class BanditAllocator {

@@ -6,40 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
-#include <string>
 
 #include "seeds/collector.h"
 #include "seeds/seed_dataset.h"
 #include "testutil/fixtures.h"
+#include "testutil/scoped_env.h"
 
 namespace v6::seeds {
 namespace {
 
+using v6::testutil::ScopedEnv;
 using v6::testutil::small_universe;
-
-/// Sets an environment variable for one scope and restores it after.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
 
 TEST(SeedCollector, CollectAllMatchesSerialMerge) {
   SeedDataset serial;

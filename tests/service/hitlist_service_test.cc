@@ -2,22 +2,30 @@
 // (src/service/hitlist_service.h): the epoch sequence is bit-identical
 // across streaming-engine shard counts (the service-level restatement
 // of the scan engine's shard-invariance contract), versions increment
-// once per refresh, the query facade agrees with the snapshot, and
-// seed deltas flow through to every roster generator.
+// once per refresh, the query facade agrees with the snapshot, seed
+// deltas flow through to every roster generator, the epoch sequence is
+// pinned across commits, and the phase and retrain timers count every
+// call at any thread count.
 #include "service/hitlist_service.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "net/ipv6.h"
+#include "obs/telemetry.h"
 #include "service/hitlist_store.h"
 #include "service/incremental_tga.h"
 #include "simnet/universe.h"
 #include "simnet/universe_builder.h"
 #include "simnet/universe_config.h"
+#include "testutil/scoped_env.h"
 #include "tga/registry.h"
 
 namespace {
@@ -47,6 +55,17 @@ std::vector<Ipv6Addr> sample_seeds(const v6::simnet::Universe& universe) {
     seeds.push_back(hosts[i].addr);
   }
   return seeds;
+}
+
+/// The `sos serve --feed 1` step: the epoch's addresses not yet handed
+/// to the generators, which `fed` then records.
+SeedDelta fresh_in(const HitlistEpoch& epoch,
+                   std::unordered_set<Ipv6Addr, v6::net::Ipv6AddrHash>& fed) {
+  SeedDelta delta;
+  for (const Ipv6Addr& addr : epoch.addrs) {
+    if (fed.insert(addr).second) delta.added.push_back(addr);
+  }
+  return delta;
 }
 
 ServiceConfig small_config() {
@@ -189,6 +208,114 @@ TEST(HitlistService, RunsAreReproducibleFromTheSeed) {
     fingerprints.push_back(chain);
   }
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
+}
+
+// Pins the service's outcomes across commits, where every test above
+// compares the service with itself. Four cycles of the `sos serve
+// --feed 1` loop (refresh, then ingest the epoch's new addresses) at
+// rescan intervals 1 and 2 must publish exactly these epochs and end
+// on exactly these stats. A change that means to move outcomes
+// regenerates the table; every other change must leave it alone.
+TEST(HitlistService, EpochSequenceIsPinned) {
+  struct Pinned {
+    std::uint64_t rescan_interval;
+    std::array<std::uint64_t, 4> fingerprints;
+    ServiceStats stats;
+  };
+  const Pinned pins[] = {
+      {1,
+       {0xbf1bd0fe810f45e8ULL, 0x3f028f1118adb101ULL, 0x3b6550653058df0fULL,
+        0xe8223fdca0164186ULL},
+       {.cycles = 4,
+        .probes = 57'773,
+        .discovered = 1'614,
+        .rescans = 41'773,
+        .evicted = 3'266,
+        .incremental_updates = 4,
+        .full_rebuilds = 28,
+        .virtual_seconds = 0x1.10c56d5cfaacep+3}},
+      {2,
+       {0xbf1bd0fe810f45e8ULL, 0x508e416b216405daULL, 0x6dcc8c74279fddccULL,
+        0x18b0c64912fa5d2aULL},
+       {.cycles = 4,
+        .probes = 37'558,
+        .discovered = 1'614,
+        .rescans = 21'558,
+        .evicted = 0,
+        .incremental_updates = 4,
+        .full_rebuilds = 28,
+        .virtual_seconds = 0x1.776c8b4395811p+2}},
+  };
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE("rescan_interval " + std::to_string(pin.rescan_interval));
+    v6::simnet::Universe universe = fresh_universe();
+    const std::vector<Ipv6Addr> seeds = sample_seeds(universe);
+    ServiceConfig config = small_config();
+    config.rescan.rescan_interval = pin.rescan_interval;
+    HitlistService service(universe, seeds, config);
+    std::unordered_set<Ipv6Addr, v6::net::Ipv6AddrHash> fed(seeds.begin(),
+                                                            seeds.end());
+    for (const std::uint64_t fingerprint : pin.fingerprints) {
+      const HitlistEpoch& epoch = service.refresh_once();
+      EXPECT_EQ(epoch.fingerprint, fingerprint)
+          << "epoch " << epoch.version << " moved";
+      service.ingest_seeds(fresh_in(epoch, fed));
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cycles, pin.stats.cycles);
+    EXPECT_EQ(stats.probes, pin.stats.probes);
+    EXPECT_EQ(stats.discovered, pin.stats.discovered);
+    EXPECT_EQ(stats.rescans, pin.stats.rescans);
+    EXPECT_EQ(stats.evicted, pin.stats.evicted);
+    EXPECT_EQ(stats.incremental_updates, pin.stats.incremental_updates);
+    EXPECT_EQ(stats.full_rebuilds, pin.stats.full_rebuilds);
+    EXPECT_EQ(stats.virtual_seconds, pin.stats.virtual_seconds);
+  }
+}
+
+// With a Telemetry attached, every refresh phase and every ingest runs
+// under its span, and the roster times each arm once per fan-out (the
+// constructor's prepare plus every effective delta). Timer seconds are
+// wall time, but the counts are deterministic: the pool threads only
+// fill per-arm slots, and the writer records them after the join, so
+// V6_JOBS=1 must count exactly what the default thread count does.
+TEST(HitlistService, PhaseAndRetrainTimersCountEveryCall) {
+  static constexpr std::uint64_t kCycles = 3;
+  const auto timer_counts = [] {
+    v6::obs::Telemetry telemetry;
+    v6::simnet::Universe universe = fresh_universe();
+    const std::vector<Ipv6Addr> seeds = sample_seeds(universe);
+    HitlistService service(universe, seeds,
+                           small_config().with_telemetry(&telemetry));
+    std::unordered_set<Ipv6Addr, v6::net::Ipv6AddrHash> fed(seeds.begin(),
+                                                            seeds.end());
+    std::uint64_t fan_outs = 1;  // the constructor's prepare
+    for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+      const SeedDelta delta = fresh_in(service.refresh_once(), fed);
+      fan_outs += delta.empty() ? 0 : 1;
+      service.ingest_seeds(delta);
+    }
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& [name, total] : telemetry.registry().snapshot().timers) {
+      counts[name] = total.count;
+    }
+    for (const char* phase : {"age", "rescan", "discover", "evict",
+                              "publish"}) {
+      EXPECT_EQ(counts[std::string("service.refresh.") + phase], kCycles)
+          << phase;
+    }
+    EXPECT_EQ(counts["service.ingest"], kCycles);
+    for (const char* kind : {"6sense", "det", "6tree", "6scan", "6graph",
+                             "6gen", "6hit", "eip"}) {
+      EXPECT_EQ(counts[std::string("service.retrain.") + kind], fan_outs)
+          << kind;
+    }
+    return counts;
+  };
+
+  const std::map<std::string, std::uint64_t> by_default = timer_counts();
+  const v6::testutil::ScopedEnv one_job("V6_JOBS", "1");
+  EXPECT_EQ(timer_counts(), by_default);
 }
 
 }  // namespace

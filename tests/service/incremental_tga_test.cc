@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -155,64 +156,72 @@ TEST(IncrementalTga, AbsorbedDeltasDoNotCauseReEmission) {
   }
 }
 
-// The roster retrains its arms in parallel over one shared ledger. Each
-// arm must still see exactly the calls a standalone generator of its
-// kind would: prepare() on the merged seeds, absorb_seeds() of the new
-// addresses where the model accepts them, and a full prepare() from the
-// filtered ledger after a removal — all with derive_seed(seed,
-// 0x76A0 + arm). Equal next_batch() output after every step shows it.
+// The roster retrains its arms in parallel over one shared ledger,
+// claiming the longest retrains first. Each arm must still see exactly
+// the calls a standalone generator of its kind would: prepare() on the
+// merged seeds, absorb_seeds() of the new addresses where the model
+// accepts them, and a full prepare() from the filtered ledger after a
+// removal — all with derive_seed(seed, 0x76A0 + arm). Equal next_batch()
+// output after every step shows it, for the paper's roster and for the
+// reversed one, whose claim order moves 6Graph and DET from other slots.
 TEST(IncrementalTga, RosterMatchesStandaloneGenerators) {
   constexpr std::uint64_t kSeed = 42;
-  const auto& kinds = v6::tga::kAllTgas;
-  IncrementalRoster roster(kinds, kSeed);
+  const std::vector<TgaKind> paper(v6::tga::kAllTgas.begin(),
+                                   v6::tga::kAllTgas.end());
+  const std::vector<TgaKind> reversed(paper.rbegin(), paper.rend());
+  for (const std::vector<TgaKind>& kinds : {paper, reversed}) {
+    SCOPED_TRACE("roster led by " +
+                 std::string(v6::tga::to_string(kinds.front())));
+    IncrementalRoster roster(kinds, kSeed);
 
-  std::vector<std::unique_ptr<v6::tga::TargetGenerator>> standalone;
-  std::vector<std::uint64_t> rng_seeds;
-  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
-    standalone.push_back(v6::tga::make_generator(kinds[arm]));
-    rng_seeds.push_back(v6::net::derive_seed(kSeed, 0x76A0 + arm));
-  }
-  const auto expect_same_batches = [&](const char* step) {
+    std::vector<std::unique_ptr<v6::tga::TargetGenerator>> standalone;
+    std::vector<std::uint64_t> rng_seeds;
     for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
-      const std::vector<Ipv6Addr> want = standalone[arm]->next_batch(1000);
-      EXPECT_FALSE(want.empty()) << step << ": " << standalone[arm]->name();
-      EXPECT_EQ(roster.generator(arm).next_batch(1000), want)
-          << step << ": " << standalone[arm]->name();
+      standalone.push_back(v6::tga::make_generator(kinds[arm]));
+      rng_seeds.push_back(v6::net::derive_seed(kSeed, 0x76A0 + arm));
     }
-  };
+    const auto expect_same_batches = [&](const char* step) {
+      for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+        const std::vector<Ipv6Addr> want = standalone[arm]->next_batch(1000);
+        EXPECT_FALSE(want.empty()) << step << ": " << standalone[arm]->name();
+        EXPECT_EQ(roster.generator(arm).next_batch(1000), want)
+            << step << ": " << standalone[arm]->name();
+      }
+    };
 
-  std::vector<Ipv6Addr> ledger = universe_seeds(0, 300);
-  roster.prepare(ledger);
-  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
-    standalone[arm]->prepare(ledger, rng_seeds[arm]);
-  }
-  expect_same_batches("prepare");
-
-  SeedDelta additions;
-  additions.added = universe_seeds(300, 40);
-  roster.ingest(additions);
-  ledger.insert(ledger.end(), additions.added.begin(), additions.added.end());
-  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
-    if (!standalone[arm]->absorb_seeds(additions.added)) {
+    std::vector<Ipv6Addr> ledger = universe_seeds(0, 300);
+    roster.prepare(ledger);
+    for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
       standalone[arm]->prepare(ledger, rng_seeds[arm]);
     }
-  }
-  EXPECT_EQ(roster.incremental_updates(), 1u);  // 6Hit
-  EXPECT_EQ(roster.full_rebuilds(), 7u);
-  expect_same_batches("addition-only delta");
+    expect_same_batches("prepare");
 
-  SeedDelta removal;
-  removal.removed = {ledger[5]};
-  roster.ingest(removal);
-  ledger.erase(ledger.begin() + 5);
-  for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
-    standalone[arm]->prepare(ledger, rng_seeds[arm]);
+    SeedDelta additions;
+    additions.added = universe_seeds(300, 40);
+    roster.ingest(additions);
+    ledger.insert(ledger.end(), additions.added.begin(), additions.added.end());
+    for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+      if (!standalone[arm]->absorb_seeds(additions.added)) {
+        standalone[arm]->prepare(ledger, rng_seeds[arm]);
+      }
+    }
+    EXPECT_EQ(roster.incremental_updates(), 1u);  // 6Hit
+    EXPECT_EQ(roster.full_rebuilds(), 7u);
+    expect_same_batches("addition-only delta");
+
+    SeedDelta removal;
+    removal.removed = {ledger[5]};
+    roster.ingest(removal);
+    ledger.erase(ledger.begin() + 5);
+    for (std::size_t arm = 0; arm < kinds.size(); ++arm) {
+      standalone[arm]->prepare(ledger, rng_seeds[arm]);
+    }
+    EXPECT_EQ(roster.incremental_updates(), 1u);
+    EXPECT_EQ(roster.full_rebuilds(), 15u);
+    ASSERT_TRUE(std::equal(ledger.begin(), ledger.end(), roster.seeds().begin(),
+                           roster.seeds().end()));
+    expect_same_batches("removal delta");
   }
-  EXPECT_EQ(roster.incremental_updates(), 1u);
-  EXPECT_EQ(roster.full_rebuilds(), 15u);
-  ASSERT_TRUE(std::equal(ledger.begin(), ledger.end(), roster.seeds().begin(),
-                         roster.seeds().end()));
-  expect_same_batches("removal delta");
 }
 
 }  // namespace
