@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark): throughput of the primitives the
 // experiment pipeline is built from — address parse/format, LPM trie,
-// universe probing, space-tree construction, per-TGA generation, and the
-// scanner loop.
+// universe probing, space-tree construction, per-TGA generate-and-observe
+// cycles, and the scanner loop.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "dealias/online_dealiaser.h"
@@ -93,26 +94,6 @@ void BM_UniverseProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniverseProbe);
-
-void BM_TgaGenerate(benchmark::State& state) {
-  const auto kind =
-      v6::tga::kAllTgas[static_cast<std::size_t>(state.range(0))];
-  const auto seeds = sample_seeds(5000);
-  auto generator = v6::tga::make_generator(kind);
-  generator->prepare(seeds, 11);
-  state.SetLabel(std::string(v6::tga::to_string(kind)));
-  for (auto _ : state) {
-    auto batch = generator->next_batch(1024);
-    benchmark::DoNotOptimize(batch.size());
-    if (batch.empty()) {
-      state.PauseTiming();
-      generator->prepare(seeds, 11);
-      state.ResumeTiming();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_TgaGenerate)->DenseRange(0, v6::tga::kNumTgas - 1);
 
 /// A universe of the paper sweep's size (the Workbench's 2,000 ASes at
 /// host scale 0.12, ~400k hosts).
@@ -243,19 +224,24 @@ BENCHMARK(BM_TrieLongestMatch)->DenseRange(0, 2);
 
 void BM_UniverseProbeByClass(benchmark::State& state) {
   // Universe::probe over one traffic class of sweep_universe(); class 4
-  // is the mix the perfbench `scan` workload sends.
+  // is the mix the perfbench `scan` workload sends. The second argument
+  // is the lookahead: 0 probes cold, 8 issues Universe::prefetch for the
+  // target 8 probes ahead, as StreamScanner's walks do.
   const auto& universe = sweep_universe();
   const auto& targets = probe_class_targets(state.range(0));
+  const std::size_t ahead = static_cast<std::size_t>(state.range(1));
   v6::net::Rng rng(2);
   std::size_t i = 0;
   for (auto _ : state) {
+    if (ahead != 0) universe.prefetch(targets[(i + ahead) % targets.size()]);
     benchmark::DoNotOptimize(
         universe.probe(targets[i], v6::net::ProbeType::kIcmp, rng));
     if (++i == targets.size()) i = 0;
   }
-  state.SetLabel(kProbeClassNames[state.range(0)]);
+  state.SetLabel(std::string(kProbeClassNames[state.range(0)]) +
+                 (ahead != 0 ? "/prefetch" : ""));
 }
-BENCHMARK(BM_UniverseProbeByClass)->DenseRange(0, 4);
+BENCHMARK(BM_UniverseProbeByClass)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 8}});
 
 void BM_SpaceTreeBuild(benchmark::State& state) {
   // Arguments: policy (0 leftmost, 1 min-entropy) and seed count: 1k or
@@ -281,10 +267,10 @@ BENCHMARK(BM_SpaceTreeBuild)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_TgaCycle(benchmark::State& state) {
-  // The pipeline's loop, unlike BM_TgaGenerate: a fresh model spends a
-  // 20k budget in 1,000-address batches, observing every address with
-  // the universe's ground truth before asking for the next batch. Only
-  // prepare() and teardown run untimed.
+  // The pipeline's loop: a fresh model spends a 20k budget in
+  // 1,000-address batches, observing every address with the universe's
+  // ground truth before asking for the next batch. Only prepare() and
+  // teardown run untimed.
   constexpr std::size_t kBudget = 20'000;
   const auto kind =
       v6::tga::kAllTgas[static_cast<std::size_t>(state.range(0))];

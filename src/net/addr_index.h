@@ -11,6 +11,11 @@
 // compacts its own storage and rebuilds the table after compaction,
 // clear() plus reinsertion: service::RescanScheduler does so after each
 // eviction pass.
+//
+// prefetch() hints the cache to load the slot where a lookup would
+// start, so a scan loop can issue it some probes ahead and overlap the
+// table's cache misses (StreamScanner's lookahead walk, via
+// simnet::Universe::prefetch). It changes nothing a lookup returns.
 #pragma once
 
 #include <cstddef>
@@ -112,6 +117,16 @@ class AddrIndexMap {
   }
 
   bool contains(const Ipv6Addr& addr) const { return find(addr) != nullptr; }
+
+  /// Hints the cache to load the slot where a lookup of `addr` starts.
+  /// A slot is 24 bytes and can straddle two cache lines, so both its
+  /// first and its last byte are touched. Does nothing on an empty table.
+  void prefetch(const Ipv6Addr& addr) const {
+    if (slots_.empty()) return;
+    const Slot* slot = &slots_[Ipv6AddrHash{}(addr) & (slots_.size() - 1)];
+    __builtin_prefetch(slot);
+    __builtin_prefetch(reinterpret_cast<const char*>(slot + 1) - 1);
+  }
 
   /// Empties the map but keeps the allocated table, so scratch maps
   /// reused across scan batches (Scanner/StreamScanner dedup) reach a

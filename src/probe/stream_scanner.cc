@@ -1,5 +1,6 @@
 #include "probe/stream_scanner.h"
 
+#include <array>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -61,8 +62,8 @@ struct ArmedStage {
 /// exactly one prober thread during a scan and by the caller thread
 /// outside it; nothing here is shared.
 struct StreamScanner::Lane {
-  Lane(const v6::simnet::Universe& universe, const Blocklist* /*blocklist*/,
-       const StreamScanOptions& options, unsigned shard, double lane_pps)
+  Lane(const v6::simnet::Universe& universe, const StreamScanOptions& options,
+       unsigned shard, double lane_pps)
       : wire(universe, options.scan.seed), limiter(lane_pps) {
     ProbeTransport* top = &wire;
     if (options.decorate) {
@@ -127,6 +128,74 @@ struct WalkAdapter {
   }
 };
 
+/// A walk run a fixed distance ahead of its consumer, prefetching what
+/// the consumer will read: group prefetching of hash probes (Chen,
+/// Ailamaki, Gibbons and Mowry, ICDE 2004). The next kRing items of the
+/// walk wait in a ring.
+///   - When an item enters the ring, kRing items before it is returned,
+///     its target and keep byte are prefetched.
+///   - kProbeAhead items before it is returned, both are cached: if the
+///     target is kept, the universe's host-table slot for it is
+///     prefetched. A null `universe` skips this stage.
+/// It emits exactly the walk's own sequence; the hints change no value.
+class LookaheadWalk {
+ public:
+  LookaheadWalk(const WalkAdapter& walk, std::span<const Ipv6Addr> targets,
+                const std::uint8_t* keep, const v6::simnet::Universe* universe)
+      : walk_(walk),
+        targets_(targets.data()),
+        keep_(keep),
+        universe_(universe) {
+    while (size_ < kRing && walk_.next(&ring_[size_])) {
+      fetch_inputs(ring_[size_]);
+      ++size_;
+    }
+    for (std::size_t i = 0; i < size_ && i < kProbeAhead; ++i) {
+      fetch_slot(ring_[i]);
+    }
+  }
+
+  bool next(ShardItem* out) {
+    if (size_ == 0) return false;
+    *out = ring_[head_];
+    // The ring is full until the walk runs dry, so the walk's next item
+    // takes the slot just returned.
+    if (walk_.next(&ring_[head_])) {
+      fetch_inputs(ring_[head_]);
+    } else {
+      --size_;
+    }
+    head_ = (head_ + 1) % kRing;
+    if (size_ >= kProbeAhead) {
+      fetch_slot(ring_[(head_ + kProbeAhead - 1) % kRing]);
+    }
+    return true;
+  }
+
+ private:
+  static constexpr std::size_t kRing = 16;
+  static constexpr std::size_t kProbeAhead = 8;
+
+  void fetch_inputs(const ShardItem& item) const {
+    __builtin_prefetch(&targets_[item.index]);
+    __builtin_prefetch(&keep_[item.index]);
+  }
+
+  void fetch_slot(const ShardItem& item) const {
+    if (universe_ != nullptr && keep_[item.index] != 0) {
+      universe_->prefetch(targets_[item.index]);
+    }
+  }
+
+  WalkAdapter walk_;
+  const Ipv6Addr* targets_;
+  const std::uint8_t* keep_;
+  const v6::simnet::Universe* universe_;
+  std::array<ShardItem, kRing> ring_{};
+  std::size_t head_ = 0;  // the next item to return
+  std::size_t size_ = 0;  // items in the ring
+};
+
 }  // namespace
 
 void StreamScanOptions::validate() const {
@@ -157,8 +226,7 @@ StreamScanner::StreamScanner(const v6::simnet::Universe& universe,
       options_.scan.max_pps / static_cast<double>(options_.shards);
   lanes_.reserve(options_.shards);
   for (unsigned s = 0; s < options_.shards; ++s) {
-    lanes_.push_back(
-        std::make_unique<Lane>(*universe_, blocklist_, options_, s, lane_pps));
+    lanes_.push_back(std::make_unique<Lane>(*universe_, options_, s, lane_pps));
   }
   v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
   if (telemetry != nullptr && options_.scan.max_retries > 0) {
@@ -312,7 +380,10 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   if (options_.scan.randomize_order) {
     plan.emplace(targets.size(), options_.scan.seed);
   }
-  auto make_walk = [&](unsigned shard, unsigned count) {
+  // Every walk runs ahead of its loop; `universe` is null for the merge,
+  // which probes nothing.
+  auto make_walk = [&](unsigned shard, unsigned count,
+                       const v6::simnet::Universe* universe) {
     WalkAdapter walk;
     if (plan.has_value()) {
       walk.perm.emplace(*plan, shard, count);
@@ -321,7 +392,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
       walk.n = targets.size();
       walk.stride = count;
     }
-    return walk;
+    return LookaheadWalk(walk, targets, keep_.data(), universe);
   };
 
   // Classification fold: the only step that touches ScanStats and the
@@ -355,7 +426,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
     Lane& lane = *lanes_[0];
     ArmedStage stage(watchdog != nullptr ? &watchdog->stage("stream.scan")
                                          : nullptr);
-    WalkAdapter walk = make_walk(0, 1);
+    LookaheadWalk walk = make_walk(0, 1, universe_);
     ShardItem item;
     while (walk.next(&item)) {
       if (keep_[item.index] == 0) continue;
@@ -408,7 +479,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
                      &prober_hbs]() {
         Lane& lane = *lanes_[s];
         ArmedStage stage(prober_hbs[s]);
-        WalkAdapter walk = make_walk(s, num_shards);
+        LookaheadWalk walk = make_walk(s, num_shards, universe_);
         ShardItem item;
         while (walk.next(&item)) {
           if (keep_[item.index] == 0) continue;
@@ -435,7 +506,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
     // kept its outcomes in its own walk order, so the next unread byte
     // of shard p mod S is position p's.
     std::vector<std::size_t> cursors(num_shards, 0);
-    WalkAdapter walk = make_walk(0, 1);
+    LookaheadWalk walk = make_walk(0, 1, nullptr);
     ShardItem item;
     while (walk.next(&item)) {
       if (keep_[item.index] == 0) continue;

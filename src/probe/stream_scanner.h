@@ -14,11 +14,19 @@
 // no reply to authenticate.
 //
 // With shards == 1 the walk, probe, and classification fuse into one
-// loop on the calling thread — no worker thread, no kept bytes — which
-// keeps the streaming engine at per-probe parity with the batch
-// Scanner. bench/bench_throughput.cpp gates that parity on single-core
-// hosts, and the multi-shard merge is required to stay bit-identical to
-// the fused loop.
+// loop on the calling thread — no worker thread, no kept bytes — and the
+// multi-shard merge is required to stay bit-identical to it.
+// bench/bench_throughput.cpp compares its per-probe cost with the batch
+// Scanner's and gates it at 1.05× on single-core hosts; docs/SCANNER.md
+// records the measured ratios, which are above 1 at every size.
+//
+// Every walk of a scan (the fused loop, each shard worker, and the
+// caller's merge) runs a fixed distance ahead of its loop: a 16-item
+// ring prefetches each target and its keep byte as it enters, and 8
+// items before a kept target is probed, its host-table slot
+// (Universe::prefetch; the merge probes nothing and skips this stage).
+// The hints change no value; they let the cache misses of neighbouring
+// probes overlap instead of each paying its full latency in turn.
 //
 // Determinism contract (tested in tests/probe/stream_scanner_test.cc):
 // every lane sees the same targets in the same order for a given shard

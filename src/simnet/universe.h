@@ -17,6 +17,12 @@
 // hosts() span exists for evaluation code and tests on legacy builds
 // only, and the v6lint `materialized-span` rule bars library code
 // outside simnet from reaching for it.
+//
+// prefetch() hints the cache to load the host-index slot a probe of an
+// address will read first. A scan loop issues it some probes ahead of
+// probe() (StreamScanner's lookahead walk), so the table's cache misses
+// overlap instead of paying their latency one after another. It changes
+// no reply.
 #pragma once
 
 #include <array>
@@ -70,6 +76,14 @@ class Universe {
   template <typename Urbg>
   v6::net::ProbeReply probe(const v6::net::Ipv6Addr& addr,
                             v6::net::ProbeType type, Urbg& rng) const;
+
+  /// Hints the cache to load the host-index slot where a probe of `addr`
+  /// looks the host up. Does nothing on a procedural universe, which has
+  /// no host table. The alias and route tables get no hint: they are
+  /// small enough to stay cached.
+  void prefetch(const v6::net::Ipv6Addr& addr) const {
+    if (!procedural_) host_index_.prefetch(addr);
+  }
 
   // ---- Ground truth (evaluation only) ---------------------------------
 

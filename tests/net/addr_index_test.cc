@@ -83,6 +83,39 @@ TEST(AddrIndexMap, ReservePreservesContents) {
   }
 }
 
+TEST(AddrIndexMap, PrefetchIsAHint) {
+  // On an empty map prefetch() must not index the empty slot vector,
+  // and no prefetch may change a lookup. A build with
+  // -D_GLIBCXX_ASSERTIONS aborts here without the guard; ASan alone does
+  // not, since a prefetch reads no memory.
+  AddrIndexMap map;
+  map.prefetch(addr_of(1, 2));
+  EXPECT_EQ(map.find(addr_of(1, 2)), nullptr);
+  EXPECT_TRUE(map.empty());
+
+  Rng rng(11);
+  std::vector<Ipv6Addr> keys;
+  for (std::uint32_t i = 0; i < 100; ++i) {  // rehashes past kMinCapacity
+    keys.push_back(addr_of(rng(), rng()));
+    map.prefetch(keys.back());
+    map.insert(keys.back(), i);
+  }
+  const auto expect_lookups = [&] {
+    for (std::uint32_t i = 0; i < keys.size(); ++i) {
+      const Ipv6Addr missing = addr_of(rng(), rng());
+      map.prefetch(keys[i]);
+      map.prefetch(missing);
+      ASSERT_NE(map.find(keys[i]), nullptr) << "key " << i;
+      EXPECT_EQ(*map.find(keys[i]), i);
+      EXPECT_EQ(map.find(missing), nullptr);
+    }
+    EXPECT_EQ(map.size(), keys.size());
+  };
+  expect_lookups();
+  map.reserve(10'000);  // one more rehash, to a larger table
+  expect_lookups();
+}
+
 TEST(AddrIndexMap, MatchesUnorderedMapOnRandomWorkload) {
   AddrIndexMap map;
   std::unordered_map<Ipv6Addr, std::uint32_t, Ipv6AddrHash> reference;

@@ -1,6 +1,7 @@
 // StreamScanner (probe/stream_scanner.h) determinism contract: the
 // shard-merged ScanResult is bit-identical across shard counts and
-// seeds, reply callbacks fire in the canonical cycle-position order,
+// seeds, reply callbacks fire in the canonical cycle-position order
+// (the one-shard walk's own order, at every target count),
 // the blocklist and dedup paths match the batch engine's pre-wire
 // accounting, per-lane faults and adaptive backoff are pinned per shard
 // count, and a failing lane surfaces only after every shard worker has
@@ -14,6 +15,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "obs/telemetry.h"
 #include "probe/probe_auth.h"
 #include "probe/scanner.h"
+#include "probe/shard_walk.h"
 #include "probe/stateless_transport.h"
 #include "probe/transport.h"
 #include "testutil/fixtures.h"
@@ -149,6 +152,109 @@ TEST(StreamScannerTest, CallbackOrderIsCanonicalAcrossShardCounts) {
   const std::vector<Event> three = collect(3);
   ASSERT_FALSE(one.empty());
   EXPECT_EQ(one, three);
+}
+
+TEST(StreamScannerTest, ProbesInWalkOrderAtEveryLength) {
+  // The other tests compare shard counts with each other, so a defect
+  // every walk shares would pass them. Here the expected callbacks come
+  // from the walk itself: ShardWalk(ShardPlan(n, seed), 0, 1), or index
+  // order, skipping all but the first occurrence of each address and the
+  // blocklisted ones, with each reply from a stateless wire (a pure
+  // function of the probe, so independent of the scan's threads).
+  // Lengths around the scanner's 16-item lookahead ring catch a dropped,
+  // repeated or reordered item.
+  const auto& universe = v6::testutil::small_universe();
+  const std::vector<Ipv6Addr> pool = mixed_targets(/*seed=*/61, 1200);
+  constexpr std::size_t kRandomPart = 600;  // pool: 600 hosts, then random
+  v6::probe::Blocklist blocklist;
+  blocklist.add(v6::net::Prefix(pool[0], 48));
+  using Event = std::pair<Ipv6Addr, ProbeReply>;
+  for (const std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 33, 600}) {
+    // Hosts and random addresses alternate; every fourth target repeats
+    // an earlier one.
+    std::vector<Ipv6Addr> targets;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Ipv6Addr addr = i % 4 == 3 ? targets[i / 2]
+                                       : pool[(i % 2) * kRandomPart + i / 2];
+      targets.push_back(addr);
+    }
+    std::vector<bool> first(n, false);
+    std::unordered_set<Ipv6Addr, v6::net::Ipv6AddrHash> seen;
+    for (std::size_t i = 0; i < n; ++i) {
+      first[i] = seen.insert(targets[i]).second;
+    }
+
+    for (const bool randomize : {true, false}) {
+      const ScanOptions scan = ScanOptions{}
+                                   .with_seed(n + 3)
+                                   .with_retries(0)
+                                   .with_randomize_order(randomize);
+      std::vector<std::uint64_t> order;
+      if (randomize) {
+        v6::probe::ShardWalk walk(v6::probe::ShardPlan(n, scan.seed), 0, 1);
+        v6::probe::ShardItem item;
+        while (walk.next(&item)) order.push_back(item.index);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) order.push_back(i);
+      }
+      std::vector<Event> expected;
+      ScanStats want;
+      want.targets = n;
+      v6::probe::StatelessSimTransport wire(universe, scan.seed);
+      for (const std::uint64_t index : order) {
+        const Ipv6Addr& addr = targets[index];
+        if (!first[index]) {
+          ++want.deduped;
+          continue;
+        }
+        if (blocklist.blocked(addr)) {
+          ++want.blocked;
+          continue;
+        }
+        const ProbeReply reply = wire.send(addr, ProbeType::kIcmp);
+        expected.emplace_back(addr, reply);
+        ++want.probed;
+        switch (reply) {
+          case ProbeReply::kTimeout:
+            ++want.timeouts;
+            break;
+          case ProbeReply::kRst:
+            ++want.rsts;
+            break;
+          case ProbeReply::kDestUnreachable:
+            ++want.unreachables;
+            break;
+          default:
+            if (v6::net::is_hit(ProbeType::kIcmp, reply)) ++want.hits;
+            break;
+        }
+      }
+      want.packets = wire.packets_sent();
+      want.virtual_seconds = static_cast<double>(want.packets) / scan.max_pps;
+      if (n == 600) {
+        EXPECT_GT(want.hits, 0u);
+        EXPECT_GT(want.blocked, 0u);
+        EXPECT_GT(want.deduped, 0u);
+      }
+
+      for (const unsigned shards : {1u, 2u, 3u, 4u}) {
+        const std::string context = "n=" + std::to_string(n) +
+                                    " randomize=" + std::to_string(randomize) +
+                                    " shards=" + std::to_string(shards);
+        StreamScanner scanner(
+            universe, &blocklist,
+            StreamScanOptions{}.with_shards(shards).with_scan(scan));
+        std::vector<Event> events;
+        const ScanStats stats =
+            scanner.scan(targets, ProbeType::kIcmp,
+                         [&](const Ipv6Addr& addr, ProbeReply reply) {
+                           events.emplace_back(addr, reply);
+                         });
+        EXPECT_EQ(events, expected) << context;
+        expect_stats_eq(stats, want, context);
+      }
+    }
+  }
 }
 
 TEST(StreamScannerTest, BlocklistSkipsWithoutProbing) {

@@ -238,7 +238,13 @@ TEST_P(ProceduralEquivalenceTest, StatelessTransportParity) {
   // (seed, addr, attempt), so parity here transfers to any scan order.
   v6::probe::StatelessSimTransport ta(proc, /*seed=*/99);
   v6::probe::StatelessSimTransport tb(mat, /*seed=*/99);
-  for (const Ipv6Addr& addr : targets) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const Ipv6Addr& addr = targets[i];
+    // The scanner's lookahead hint, issued a few targets ahead: a
+    // prefetch changes no reply on either representation.
+    const Ipv6Addr& ahead = targets[(i + 8) % targets.size()];
+    proc.prefetch(ahead);
+    mat.prefetch(ahead);
     ASSERT_EQ(ta.send(addr, ProbeType::kIcmp), tb.send(addr, ProbeType::kIcmp));
     // A retransmission to the same address draws an independent coin.
     ASSERT_EQ(ta.send(addr, ProbeType::kIcmp), tb.send(addr, ProbeType::kIcmp));
