@@ -23,7 +23,7 @@
 #include "metrics/reporter.h"
 #include "metrics/scan_outcome.h"
 #include "obs/quantiles.h"
-#include "runtime/thread_pool.h"
+#include "runtime/worker_group.h"
 #include "tga/registry.h"
 
 namespace v6::bench {

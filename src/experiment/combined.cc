@@ -34,7 +34,6 @@ CombinedResult run_combined(
   }
   v6::probe::Scanner scanner(*transport, /*blocklist=*/nullptr,
                              {.max_retries = config.scan_retries,
-                              .randomize_order = true,
                               .max_pps = config.max_pps,
                               .seed = config.seed,
                               .telemetry = config.telemetry});

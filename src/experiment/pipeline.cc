@@ -78,7 +78,6 @@ v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
 
   const v6::probe::ScanOptions scan_options{
       .max_retries = config.scan_retries,
-      .randomize_order = true,
       .max_pps = config.max_pps,
       .seed = config.seed,
       .telemetry = telemetry,

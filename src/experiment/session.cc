@@ -6,7 +6,7 @@
 #include "check/contracts.h"
 #include "check/validate.h"
 #include "obs/sinks.h"
-#include "runtime/thread_pool.h"
+#include "runtime/worker_group.h"
 
 namespace v6::experiment {
 

@@ -6,7 +6,7 @@
 #include "probe/instrumented_transport.h"
 #include "probe/scanner.h"
 #include "probe/transport.h"
-#include "runtime/thread_pool.h"
+#include "runtime/worker_group.h"
 #include "simnet/universe_builder.h"
 
 namespace v6::experiment {

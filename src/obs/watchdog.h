@@ -76,6 +76,29 @@ class Heartbeat {
   std::atomic<bool> armed_{false};
 };
 
+/// Arms a stage's heartbeat for one scope and disarms it on every exit
+/// path, an exception included, so a stage that has stopped (or thrown)
+/// is never left armed to trip the watchdog. A null heartbeat (no
+/// watchdog attached) makes every call a no-op.
+class ArmedStage {
+ public:
+  explicit ArmedStage(Heartbeat* heartbeat) : heartbeat_(heartbeat) {
+    if (heartbeat_ != nullptr) heartbeat_->arm();
+  }
+  ~ArmedStage() {
+    if (heartbeat_ != nullptr) heartbeat_->disarm();
+  }
+  ArmedStage(const ArmedStage&) = delete;
+  ArmedStage& operator=(const ArmedStage&) = delete;
+
+  void beat() {
+    if (heartbeat_ != nullptr) heartbeat_->beat();
+  }
+
+ private:
+  Heartbeat* heartbeat_;
+};
+
 class StallWatchdog {
  public:
   struct Options {

@@ -108,11 +108,11 @@ ScanStats Scanner::scan(std::span<const Ipv6Addr> targets, ProbeType type,
   ScanStats stats;
   stats.targets = targets.size();
 
-  // Dedup while preserving first-seen order, then (optionally) shuffle —
-  // every address is probed at most once per scan (paper §4.2 combines
-  // and uniquifies targets to minimize per-address probes). The scratch
-  // containers are members: clear() keeps their buckets/capacity, so
-  // steady-state batches allocate nothing here.
+  // Dedup while preserving first-seen order, then shuffle (paper
+  // Appendix A) — every address is probed at most once per scan (paper
+  // §4.2 combines and uniquifies targets to minimize per-address
+  // probes). The scratch containers are members: clear() keeps their
+  // buckets/capacity, so steady-state batches allocate nothing here.
   std::vector<Ipv6Addr>& unique = unique_scratch_;
   unique.clear();
   unique.reserve(targets.size());
@@ -128,9 +128,7 @@ ScanStats Scanner::scan(std::span<const Ipv6Addr> targets, ProbeType type,
       }
     }
   }
-  if (options_.randomize_order) {
-    std::shuffle(unique.begin(), unique.end(), shuffle_rng_);
-  }
+  std::shuffle(unique.begin(), unique.end(), shuffle_rng_);
 
   const std::uint64_t packets_before = transport_->packets_sent();
   const double vtime_before = limiter_.virtual_now();

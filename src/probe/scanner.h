@@ -34,8 +34,6 @@ struct ScanOptions {
   /// Extra transmissions after a timeout (paper uses 3 packet retries for
   /// dealiasing probes; regular scan probes use 1 retry).
   int max_retries = 1;
-  /// Shuffle target order before probing (paper Appendix A).
-  bool randomize_order = true;
   /// Sustained packet rate; drives the virtual clock only.
   double max_pps = 10000.0;
   /// Seed for shuffle order (and nothing else).
@@ -73,7 +71,6 @@ struct ScanOptions {
   int adaptive_prefix_len = 48;
 
   ScanOptions& with_retries(int v) { max_retries = v; return *this; }
-  ScanOptions& with_randomize_order(bool v) { randomize_order = v; return *this; }
   ScanOptions& with_max_pps(double v) { max_pps = v; return *this; }
   ScanOptions& with_seed(std::uint64_t v) { seed = v; return *this; }
   ScanOptions& with_telemetry(v6::obs::Telemetry* t) { telemetry = t; return *this; }

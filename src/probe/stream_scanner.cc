@@ -12,7 +12,6 @@
 #include "net/rng.h"
 #include "obs/watchdog.h"
 #include "probe/instrumented_transport.h"
-#include "probe/rate_limiter.h"
 #include "probe/shard_walk.h"
 #include "probe/stateless_transport.h"
 #include "runtime/worker_group.h"
@@ -40,31 +39,16 @@ std::uint64_t probe_key(std::uint64_t base, const Ipv6Addr& addr,
          attempt;
 }
 
-/// Arms a stage heartbeat for a scan and disarms it on every exit path
-/// (a disarmed stage is never considered stalled between scans).
-struct ArmedStage {
-  v6::obs::Heartbeat* heartbeat;
-  explicit ArmedStage(v6::obs::Heartbeat* hb) : heartbeat(hb) {
-    if (heartbeat != nullptr) heartbeat->arm();
-  }
-  ~ArmedStage() {
-    if (heartbeat != nullptr) heartbeat->disarm();
-  }
-  void beat() {
-    if (heartbeat != nullptr) heartbeat->beat();
-  }
-};
-
 }  // namespace
 
-/// One shard's private world: transport chain, rate budget slice, retry
-/// and adaptive state, and plain-integer tallies. A Lane is touched by
-/// exactly one prober thread during a scan and by the caller thread
-/// outside it; nothing here is shared.
+/// One shard's private world: transport chain, retry and adaptive state,
+/// and plain-integer tallies. A Lane is touched by exactly one prober
+/// thread during a scan and by the caller thread outside it; nothing
+/// here is shared.
 struct StreamScanner::Lane {
   Lane(const v6::simnet::Universe& universe, const StreamScanOptions& options,
-       unsigned shard, double lane_pps)
-      : wire(universe, options.scan.seed), limiter(lane_pps) {
+       unsigned shard)
+      : wire(universe, options.scan.seed) {
     ProbeTransport* top = &wire;
     if (options.decorate) {
       decorated = options.decorate(wire, shard);
@@ -86,7 +70,17 @@ struct StreamScanner::Lane {
   std::unique_ptr<ProbeTransport> decorated;
   std::optional<CountingTransport> counting;
   ProbeTransport* transport = nullptr;
-  RateLimiter limiter;
+
+  /// Charges a virtual (never wall) wait: the transport chain's fault
+  /// buckets move forward, as in Scanner::wait, and the analytic clock's
+  /// wait tally grows. Returns the wait in integer nanoseconds.
+  std::uint64_t wait(double seconds) {
+    transport->advance(seconds);
+    const std::uint64_t nanos = to_nanos(seconds);
+    wait_nanos += nanos;
+    return nanos;
+  }
+
   /// `scanner.retry.<k>` tallies; summed across lanes in shard order at
   /// flush_telemetry (atomics would serialize the probers for nothing).
   std::vector<std::uint64_t> retry_tallies;
@@ -109,25 +103,6 @@ struct StreamScanner::Lane {
 
 namespace {
 
-/// One shard's iterator: the seeded permutation walk, or a plain
-/// strided index walk when randomize_order is off (pos == index, so a
-/// position's shard is pos mod S either way).
-struct WalkAdapter {
-  std::optional<ShardWalk> perm;
-  std::uint64_t x = 0;
-  std::uint64_t n = 0;
-  std::uint64_t stride = 1;
-
-  bool next(ShardItem* out) {
-    if (perm.has_value()) return perm->next(out);
-    if (x >= n) return false;
-    out->index = x;
-    out->pos = x;
-    x += stride;
-    return true;
-  }
-};
-
 /// A walk run a fixed distance ahead of its consumer, prefetching what
 /// the consumer will read: group prefetching of hash probes (Chen,
 /// Ailamaki, Gibbons and Mowry, ICDE 2004). The next kRing items of the
@@ -140,7 +115,7 @@ struct WalkAdapter {
 /// It emits exactly the walk's own sequence; the hints change no value.
 class LookaheadWalk {
  public:
-  LookaheadWalk(const WalkAdapter& walk, std::span<const Ipv6Addr> targets,
+  LookaheadWalk(const ShardWalk& walk, std::span<const Ipv6Addr> targets,
                 const std::uint8_t* keep, const v6::simnet::Universe* universe)
       : walk_(walk),
         targets_(targets.data()),
@@ -187,7 +162,7 @@ class LookaheadWalk {
     }
   }
 
-  WalkAdapter walk_;
+  ShardWalk walk_;
   const Ipv6Addr* targets_;
   const std::uint8_t* keep_;
   const v6::simnet::Universe* universe_;
@@ -220,13 +195,9 @@ StreamScanner::StreamScanner(const v6::simnet::Universe& universe,
       options_(std::move(options)) {
   options_.validate();
   jitter_base_ = v6::net::derive_seed(options_.scan.seed, /*tag=*/0xBACC0F);
-  // Each lane gets an equal slice of the packet budget (the limiter
-  // clamps degenerate pps itself).
-  const double lane_pps =
-      options_.scan.max_pps / static_cast<double>(options_.shards);
   lanes_.reserve(options_.shards);
   for (unsigned s = 0; s < options_.shards; ++s) {
-    lanes_.push_back(std::make_unique<Lane>(*universe_, options_, s, lane_pps));
+    lanes_.push_back(std::make_unique<Lane>(*universe_, options_, s));
   }
   v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
   if (telemetry != nullptr && options_.scan.max_retries > 0) {
@@ -268,13 +239,6 @@ std::uint64_t StreamScanner::packets_sent() const {
   return total;
 }
 
-void StreamScanner::lane_wait(Lane& lane, double seconds) {
-  // Virtual, never wall time: the lane's pacing clock and transport
-  // chain (fault buckets) move forward together, as in Scanner::wait.
-  lane.limiter.advance(seconds);
-  lane.transport->advance(seconds);
-}
-
 ProbeReply StreamScanner::lane_probe(Lane& lane, const Ipv6Addr& addr,
                                      ProbeType type) const {
   ProbeReply reply = ProbeReply::kTimeout;
@@ -297,19 +261,14 @@ ProbeReply StreamScanner::lane_probe(Lane& lane, const Ipv6Addr& addr,
           backoff *= 1.0 + options_.scan.retry_jitter *
                                (2.0 * v6::net::uniform01(jitter_rng) - 1.0);
         }
-        lane_wait(lane, backoff);
+        lane.backoff_nanos += lane.wait(backoff);
         ++lane.backoffs;
-        const std::uint64_t nanos = to_nanos(backoff);
-        lane.backoff_nanos += nanos;
-        lane.wait_nanos += nanos;
       }
     }
-    lane.limiter.acquire();
     reply = lane.transport->send(addr, type);
     if (reply != ProbeReply::kTimeout) break;
     if (options_.scan.probe_timeout_s > 0.0) {
-      lane_wait(lane, options_.scan.probe_timeout_s);
-      lane.wait_nanos += to_nanos(options_.scan.probe_timeout_s);
+      lane.wait(options_.scan.probe_timeout_s);
     }
   }
   return reply;
@@ -325,11 +284,8 @@ void StreamScanner::note_reply(Lane& lane, const Ipv6Addr& addr,
     return;
   }
   if (++streak >= options_.scan.adaptive_threshold) {
-    lane_wait(lane, options_.scan.adaptive_backoff_s);
+    lane.backoff_nanos += lane.wait(options_.scan.adaptive_backoff_s);
     ++lane.backoffs;
-    const std::uint64_t nanos = to_nanos(options_.scan.adaptive_backoff_s);
-    lane.backoff_nanos += nanos;
-    lane.wait_nanos += nanos;
     streak = 0;
   }
 }
@@ -376,23 +332,13 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
 
   // The permutation plan is a pure function of (n, seed), shared by all
   // walks; built once on the caller thread.
-  std::optional<ShardPlan> plan;
-  if (options_.scan.randomize_order) {
-    plan.emplace(targets.size(), options_.scan.seed);
-  }
+  const ShardPlan plan(targets.size(), options_.scan.seed);
   // Every walk runs ahead of its loop; `universe` is null for the merge,
   // which probes nothing.
   auto make_walk = [&](unsigned shard, unsigned count,
                        const v6::simnet::Universe* universe) {
-    WalkAdapter walk;
-    if (plan.has_value()) {
-      walk.perm.emplace(*plan, shard, count);
-    } else {
-      walk.x = shard;
-      walk.n = targets.size();
-      walk.stride = count;
-    }
-    return LookaheadWalk(walk, targets, keep_.data(), universe);
+    return LookaheadWalk(ShardWalk(plan, shard, count), targets, keep_.data(),
+                         universe);
   };
 
   // Classification fold: the only step that touches ScanStats and the
@@ -424,8 +370,8 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
     // multi-shard merge must stay bit-identical to it
     // (stream_scanner_test compares the two).
     Lane& lane = *lanes_[0];
-    ArmedStage stage(watchdog != nullptr ? &watchdog->stage("stream.scan")
-                                         : nullptr);
+    v6::obs::ArmedStage stage(
+        watchdog != nullptr ? &watchdog->stage("stream.scan") : nullptr);
     LookaheadWalk walk = make_walk(0, 1, universe_);
     ShardItem item;
     while (walk.next(&item)) {
@@ -478,7 +424,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
       workers.spawn([this, s, num_shards, targets, type, &make_walk,
                      &prober_hbs]() {
         Lane& lane = *lanes_[s];
-        ArmedStage stage(prober_hbs[s]);
+        v6::obs::ArmedStage stage(prober_hbs[s]);
         LookaheadWalk walk = make_walk(s, num_shards, universe_);
         ShardItem item;
         while (walk.next(&item)) {

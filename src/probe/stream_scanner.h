@@ -5,11 +5,11 @@
 // a seeded full-cycle permutation of the target index space
 // (shard_walk.h) — no shuffle buffer is ever materialized — and splits
 // the cycle into shards the ZMap way: each shard walks its own slice on
-// its own worker, with its own transport chain, rate-limiter slice, and
-// retry/backoff state, and keeps one byte per target it owns (blocked,
-// or the reply). After the workers join, the calling thread re-walks
-// the one-shard order, takes each position's reply from its shard's
-// next byte, classifies it, and folds per-shard tallies in shard order.
+// its own worker, with its own transport chain and retry/backoff state,
+// and keeps one byte per target it owns (blocked, or the reply). After
+// the workers join, the calling thread re-walks the one-shard order,
+// takes each position's reply from its shard's next byte, classifies
+// it, and folds per-shard tallies in shard order.
 // Nothing is shared between workers, so there is no queue, no lock, and
 // no reply to authenticate.
 //
@@ -74,12 +74,13 @@ struct StreamScanOptions {
       ProbeTransport& inner, unsigned shard)>;
 
   /// Shard (= prober worker) count. Each shard covers a disjoint slice
-  /// of the permutation cycle and gets max_pps/shards of the rate budget.
+  /// of the permutation cycle. `scan.max_pps` is the whole scan's rate:
+  /// the analytic virtual clock charges every packet at it, whatever the
+  /// shard count.
   unsigned shards = 1;
   /// The shared scan knobs (retries, pacing, seed, telemetry, robust
-  /// path). `randomize_order` selects the permuted walk (default) or a
-  /// strided in-order walk; `seed` drives the permutation, the stateless
-  /// reply engines, and backoff jitter.
+  /// path). `seed` drives the permutation, the stateless reply engines,
+  /// and backoff jitter.
   ScanOptions scan;
   Decorator decorate;
   /// Optional liveness plane (borrowed; may be null): each shard's
@@ -163,7 +164,6 @@ class StreamScanner {
   struct Lane;
 
   /// Shard-worker helpers (each touches only its own lane's state).
-  static void lane_wait(Lane& lane, double seconds);
   v6::net::ProbeReply lane_probe(Lane& lane, const v6::net::Ipv6Addr& addr,
                                  v6::net::ProbeType type) const;
   void note_reply(Lane& lane, const v6::net::Ipv6Addr& addr,

@@ -1,14 +1,14 @@
-// WorkerGroup: an RAII batch of worker threads with exception capture.
-//
-// The streaming scanner spawns its shard workers through this instead
-// of raw std::jthread so that (a) a thrown worker never terminates the
-// process — the first exception, in spawn order, is rethrown on the
-// joining thread — and (b) thread creation stays inside src/runtime/,
-// where the v6lint raw-thread rule confines it
-// (docs/STATIC_ANALYSIS.md). Everything above this layer reasons about
-// workers, never about threads.
+// Thread primitives, the only place the library starts threads (the
+// v6lint raw-thread rule, docs/STATIC_ANALYSIS.md): WorkerGroup, an RAII
+// batch of worker threads with exception capture, and parallel_for, a
+// one-shot loop on a WorkerGroup of its own. A thrown worker never
+// terminates the process: the first exception, in spawn order, is
+// rethrown on the joining thread. Everything above this layer reasons
+// about workers, never about threads.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -18,6 +18,11 @@
 #include <vector>
 
 namespace v6::runtime {
+
+/// Thread count used when a caller passes `jobs == 0`: the `V6_JOBS`
+/// environment variable if set and positive, else hardware_concurrency
+/// (else 1).
+unsigned default_jobs();
 
 class WorkerGroup {
  public:
@@ -53,8 +58,6 @@ class WorkerGroup {
     });
   }
 
-  std::size_t size() const { return threads_.size(); }
-
   /// Installs the observer for suppressed exceptions (replacing any
   /// previous one). Runs on the joining thread, after every worker has
   /// joined, once per exception join() discards.
@@ -87,9 +90,59 @@ class WorkerGroup {
   }
 
  private:
-  std::vector<std::jthread> threads_;
-  std::deque<std::exception_ptr> errors_;
   SuppressedHandler on_suppressed_;
+  // Declared before threads_, so a group destroyed without join() joins
+  // its workers while their error slots still exist.
+  std::deque<std::exception_ptr> errors_;
+  std::vector<std::jthread> threads_;
 };
+
+/// Runs `fn(i)` for every `i` in `[0, n)` and returns when all have
+/// finished. `jobs == 0` means default_jobs(); with `jobs <= 1` or
+/// `n <= 1` the loop runs inline. Otherwise the caller and
+/// min(jobs - 1, n - 1) workers claim indices from one counter, so
+/// iterations start in index order and an uneven workload never idles
+/// a thread. Iterations must be independent, each writing only its own
+/// slot (docs/ALGORITHMS.md, "Parallel experiment execution"). Every
+/// call owns its threads, so nested calls cannot deadlock. Once an
+/// iteration has thrown, no thread claims another; after the join the
+/// caller's own exception is rethrown if it has one, else the first
+/// worker's in spawn order.
+template <typename Fn>
+void parallel_for(unsigned jobs, std::size_t n, Fn&& fn) {
+  if (jobs == 0) jobs = default_jobs();
+  if (jobs <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  auto run = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    }
+  };
+  WorkerGroup workers;
+  const std::size_t helpers = std::min<std::size_t>(jobs - 1, n - 1);
+  for (std::size_t h = 0; h < helpers; ++h) workers.spawn(run);
+  try {
+    run();
+  } catch (...) {
+    try {
+      workers.join();
+    } catch (...) {
+      // The caller's own exception wins; the workers' are dropped.
+    }
+    throw;
+  }
+  workers.join();
+}
 
 }  // namespace v6::runtime

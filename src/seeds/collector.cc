@@ -5,7 +5,6 @@
 
 #include "net/rng.h"
 #include "probe/transport.h"
-#include "runtime/thread_pool.h"
 #include "runtime/worker_group.h"
 #include "tga/det.h"
 

@@ -83,21 +83,9 @@ const HitlistEpoch& HitlistService::refresh_once() {
   // Liveness: the whole cycle runs under one `service.refresh`
   // heartbeat, beaten once per phase; the watchdog is also threaded
   // into the scanner below so its pipeline stages report on their own.
-  v6::obs::Heartbeat* const heartbeat =
+  v6::obs::ArmedStage refresh_stage(
       config_.watchdog != nullptr ? &config_.watchdog->stage("service.refresh")
-                                  : nullptr;
-  struct ArmedRefresh {
-    v6::obs::Heartbeat* heartbeat;
-    explicit ArmedRefresh(v6::obs::Heartbeat* hb) : heartbeat(hb) {
-      if (heartbeat != nullptr) heartbeat->arm();
-    }
-    ~ArmedRefresh() {
-      if (heartbeat != nullptr) heartbeat->disarm();
-    }
-    void beat() {
-      if (heartbeat != nullptr) heartbeat->beat();
-    }
-  } refresh_stage(heartbeat);
+                                  : nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
 
   // 1. Churn: the universe moves first, then the service chases it.

@@ -5,7 +5,7 @@
 #include <chrono>
 
 #include "net/rng.h"
-#include "runtime/thread_pool.h"
+#include "runtime/worker_group.h"
 
 namespace v6::service {
 

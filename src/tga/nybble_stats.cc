@@ -38,34 +38,4 @@ void NybbleStats::add(const v6::net::Ipv6Addr& addr) {
   ++samples_;
 }
 
-std::vector<int> NybbleStats::varying_positions() const {
-  std::vector<int> out;
-  for (int i = 0; i < v6::net::Ipv6Addr::kNybbles; ++i) {
-    if (hist_[static_cast<std::size_t>(i)].distinct() > 1) out.push_back(i);
-  }
-  return out;
-}
-
-int NybbleStats::min_entropy_position() const {
-  int best = -1;
-  double best_h = 5.0;  // above the 4-bit maximum
-  for (int i = 0; i < v6::net::Ipv6Addr::kNybbles; ++i) {
-    const NybbleHistogram& h = hist_[static_cast<std::size_t>(i)];
-    if (h.distinct() <= 1) continue;
-    const double e = h.entropy();
-    if (e < best_h) {
-      best_h = e;
-      best = i;
-    }
-  }
-  return best;
-}
-
-int NybbleStats::leftmost_varying_position() const {
-  for (int i = 0; i < v6::net::Ipv6Addr::kNybbles; ++i) {
-    if (hist_[static_cast<std::size_t>(i)].distinct() > 1) return i;
-  }
-  return -1;
-}
-
 }  // namespace v6::tga

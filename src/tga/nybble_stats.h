@@ -1,11 +1,10 @@
-// Per-nybble value statistics over an address set: histograms, entropy,
-// and varying-position detection. Shared by every pattern-mining TGA.
+// Per-nybble value statistics over an address set: histograms and
+// entropy (Entropy/IP's segment analysis).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "net/ipv6.h"
 
@@ -48,17 +47,6 @@ class NybbleStats {
   }
 
   std::size_t samples() const { return samples_; }
-
-  /// Positions with more than one observed value, left to right.
-  std::vector<int> varying_positions() const;
-
-  /// Among `candidates` (or all varying positions if empty), the position
-  /// with minimum positive entropy — DET's split heuristic.
-  int min_entropy_position() const;
-
-  /// The leftmost varying position, or -1 if all nybbles are constant —
-  /// 6Tree's split heuristic.
-  int leftmost_varying_position() const;
 
  private:
   std::array<NybbleHistogram, v6::net::Ipv6Addr::kNybbles> hist_{};

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +49,28 @@ TEST(Heartbeat, CountsAndArmFlagAreIndependent) {
   hb.disarm();
   EXPECT_FALSE(hb.armed());
   EXPECT_EQ(hb.count(), 2u);
+}
+
+TEST(ArmedStage, ArmsForItsScopeAndDisarmsOnEveryExit) {
+  Heartbeat hb;
+  {
+    ArmedStage stage(&hb);
+    EXPECT_TRUE(hb.armed());
+    stage.beat();
+  }
+  EXPECT_FALSE(hb.armed());
+  EXPECT_EQ(hb.count(), 1u);
+  // A shard worker that throws must not leave its stage armed.
+  EXPECT_THROW(
+      {
+        ArmedStage stage(&hb);
+        EXPECT_TRUE(hb.armed());
+        throw std::runtime_error("shard failed");
+      },
+      std::runtime_error);
+  EXPECT_FALSE(hb.armed());
+  ArmedStage detached(nullptr);  // no watchdog attached: no-ops
+  detached.beat();
 }
 
 TEST(StallWatchdog, StageReturnsStableAddresses) {

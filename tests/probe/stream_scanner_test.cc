@@ -110,7 +110,6 @@ TEST(StreamScannerTest, BitIdenticalAcrossShardCountsAndOptions) {
                      .with_retries(2)
                      .with_probe_timeout(0.05)
                      .with_retry_backoff(0.1, /*jitter=*/0.5)},
-      {"inorder", ScanOptions{}.with_seed(3).with_randomize_order(false)},
   };
   const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/99, 600);
   for (const Variant& variant : variants) {
@@ -157,12 +156,12 @@ TEST(StreamScannerTest, CallbackOrderIsCanonicalAcrossShardCounts) {
 TEST(StreamScannerTest, ProbesInWalkOrderAtEveryLength) {
   // The other tests compare shard counts with each other, so a defect
   // every walk shares would pass them. Here the expected callbacks come
-  // from the walk itself: ShardWalk(ShardPlan(n, seed), 0, 1), or index
-  // order, skipping all but the first occurrence of each address and the
-  // blocklisted ones, with each reply from a stateless wire (a pure
-  // function of the probe, so independent of the scan's threads).
-  // Lengths around the scanner's 16-item lookahead ring catch a dropped,
-  // repeated or reordered item.
+  // from the walk itself: ShardWalk(ShardPlan(n, seed), 0, 1), skipping
+  // all but the first occurrence of each address and the blocklisted
+  // ones, with each reply from a stateless wire (a pure function of the
+  // probe, so independent of the scan's threads). Lengths around the
+  // scanner's 16-item lookahead ring catch a dropped, repeated or
+  // reordered item.
   const auto& universe = v6::testutil::small_universe();
   const std::vector<Ipv6Addr> pool = mixed_targets(/*seed=*/61, 1200);
   constexpr std::size_t kRandomPart = 600;  // pool: 600 hosts, then random
@@ -184,75 +183,64 @@ TEST(StreamScannerTest, ProbesInWalkOrderAtEveryLength) {
       first[i] = seen.insert(targets[i]).second;
     }
 
-    for (const bool randomize : {true, false}) {
-      const ScanOptions scan = ScanOptions{}
-                                   .with_seed(n + 3)
-                                   .with_retries(0)
-                                   .with_randomize_order(randomize);
-      std::vector<std::uint64_t> order;
-      if (randomize) {
-        v6::probe::ShardWalk walk(v6::probe::ShardPlan(n, scan.seed), 0, 1);
-        v6::probe::ShardItem item;
-        while (walk.next(&item)) order.push_back(item.index);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) order.push_back(i);
+    const ScanOptions scan = ScanOptions{}.with_seed(n + 3).with_retries(0);
+    std::vector<Event> expected;
+    ScanStats want;
+    want.targets = n;
+    v6::probe::StatelessSimTransport wire(universe, scan.seed);
+    v6::probe::ShardWalk walk(v6::probe::ShardPlan(n, scan.seed), 0, 1);
+    v6::probe::ShardItem item;
+    while (walk.next(&item)) {
+      const std::uint64_t index = item.index;
+      const Ipv6Addr& addr = targets[index];
+      if (!first[index]) {
+        ++want.deduped;
+        continue;
       }
-      std::vector<Event> expected;
-      ScanStats want;
-      want.targets = n;
-      v6::probe::StatelessSimTransport wire(universe, scan.seed);
-      for (const std::uint64_t index : order) {
-        const Ipv6Addr& addr = targets[index];
-        if (!first[index]) {
-          ++want.deduped;
-          continue;
-        }
-        if (blocklist.blocked(addr)) {
-          ++want.blocked;
-          continue;
-        }
-        const ProbeReply reply = wire.send(addr, ProbeType::kIcmp);
-        expected.emplace_back(addr, reply);
-        ++want.probed;
-        switch (reply) {
-          case ProbeReply::kTimeout:
-            ++want.timeouts;
-            break;
-          case ProbeReply::kRst:
-            ++want.rsts;
-            break;
-          case ProbeReply::kDestUnreachable:
-            ++want.unreachables;
-            break;
-          default:
-            if (v6::net::is_hit(ProbeType::kIcmp, reply)) ++want.hits;
-            break;
-        }
+      if (blocklist.blocked(addr)) {
+        ++want.blocked;
+        continue;
       }
-      want.packets = wire.packets_sent();
-      want.virtual_seconds = static_cast<double>(want.packets) / scan.max_pps;
-      if (n == 600) {
-        EXPECT_GT(want.hits, 0u);
-        EXPECT_GT(want.blocked, 0u);
-        EXPECT_GT(want.deduped, 0u);
+      const ProbeReply reply = wire.send(addr, ProbeType::kIcmp);
+      expected.emplace_back(addr, reply);
+      ++want.probed;
+      switch (reply) {
+        case ProbeReply::kTimeout:
+          ++want.timeouts;
+          break;
+        case ProbeReply::kRst:
+          ++want.rsts;
+          break;
+        case ProbeReply::kDestUnreachable:
+          ++want.unreachables;
+          break;
+        default:
+          if (v6::net::is_hit(ProbeType::kIcmp, reply)) ++want.hits;
+          break;
       }
+    }
+    want.packets = wire.packets_sent();
+    want.virtual_seconds = static_cast<double>(want.packets) / scan.max_pps;
+    if (n == 600) {
+      EXPECT_GT(want.hits, 0u);
+      EXPECT_GT(want.blocked, 0u);
+      EXPECT_GT(want.deduped, 0u);
+    }
 
-      for (const unsigned shards : {1u, 2u, 3u, 4u}) {
-        const std::string context = "n=" + std::to_string(n) +
-                                    " randomize=" + std::to_string(randomize) +
-                                    " shards=" + std::to_string(shards);
-        StreamScanner scanner(
-            universe, &blocklist,
-            StreamScanOptions{}.with_shards(shards).with_scan(scan));
-        std::vector<Event> events;
-        const ScanStats stats =
-            scanner.scan(targets, ProbeType::kIcmp,
-                         [&](const Ipv6Addr& addr, ProbeReply reply) {
-                           events.emplace_back(addr, reply);
-                         });
-        EXPECT_EQ(events, expected) << context;
-        expect_stats_eq(stats, want, context);
-      }
+    for (const unsigned shards : {1u, 2u, 3u, 4u}) {
+      const std::string context = "n=" + std::to_string(n) +
+                                  " shards=" + std::to_string(shards);
+      StreamScanner scanner(
+          universe, &blocklist,
+          StreamScanOptions{}.with_shards(shards).with_scan(scan));
+      std::vector<Event> events;
+      const ScanStats stats =
+          scanner.scan(targets, ProbeType::kIcmp,
+                       [&](const Ipv6Addr& addr, ProbeReply reply) {
+                         events.emplace_back(addr, reply);
+                       });
+      EXPECT_EQ(events, expected) << context;
+      expect_stats_eq(stats, want, context);
     }
   }
 }

@@ -7,8 +7,6 @@
 namespace v6::tga {
 namespace {
 
-using v6::net::Ipv6Addr;
-
 TEST(NybbleHistogram, EntropyOfConstantIsZero) {
   NybbleHistogram h;
   h.count[5] = 100;
@@ -35,37 +33,6 @@ TEST(NybbleHistogram, EmptyHistogram) {
   const NybbleHistogram h;
   EXPECT_EQ(h.total(), 0u);
   EXPECT_DOUBLE_EQ(h.entropy(), 0.0);
-}
-
-TEST(NybbleStats, VaryingPositionsDetected) {
-  std::vector<Ipv6Addr> addrs;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    addrs.push_back(Ipv6Addr(0x2001000000000000ULL, i));
-  }
-  const NybbleStats stats(addrs);
-  EXPECT_EQ(stats.varying_positions(), std::vector<int>{31});
-  EXPECT_EQ(stats.leftmost_varying_position(), 31);
-}
-
-TEST(NybbleStats, MinEntropyPositionPrefersSkewedNybble) {
-  std::vector<Ipv6Addr> addrs;
-  // Nybble 31 uniform over 16 values; nybble 30 takes only two values.
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const std::uint64_t low = ((i % 2) << 4) | (i % 16);
-    addrs.push_back(Ipv6Addr(0x2001000000000000ULL, low));
-  }
-  const NybbleStats stats(addrs);
-  EXPECT_EQ(stats.min_entropy_position(), 30);
-  EXPECT_EQ(stats.leftmost_varying_position(), 30);
-}
-
-TEST(NybbleStats, ConstantSetHasNoSplit) {
-  const std::vector<Ipv6Addr> addrs(10,
-                                    Ipv6Addr::must_parse("2001:db8::1"));
-  const NybbleStats stats(addrs);
-  EXPECT_TRUE(stats.varying_positions().empty());
-  EXPECT_EQ(stats.leftmost_varying_position(), -1);
-  EXPECT_EQ(stats.min_entropy_position(), -1);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Exactness oracle for SpaceTree's build. The tree partitions one index
 // buffer in place and takes split statistics from varying-nybble masks;
 // this file keeps a test-only copy of the recursive build it replaced —
-// sixteen index vectors per node, full NybbleStats histograms, split
-// positions from NybbleStats — and asserts that both produce the same
-// regions (base, free positions, seed count, bit-equal density) in the
-// same order, and the same node count.
+// sixteen index vectors per node, and split rules over full NybbleStats
+// histograms (pinned by the NybbleStats tests) — and asserts that both
+// produce the same regions (base, free positions, seed count, bit-equal
+// density) in the same order, and the same node count.
 //
 // The inputs exercise what the build must preserve: the stride sample on
 // nodes over 4,096 seeds (its split decisions, and the exact varying set
@@ -34,6 +34,33 @@ namespace {
 using v6::net::Ipv6Addr;
 
 // ---- Oracle: the recursive vector-per-bucket build ----------------------
+
+/// Positions with more than one observed value, left to right.
+std::vector<int> varying_positions(const NybbleStats& stats) {
+  std::vector<int> out;
+  for (int i = 0; i < Ipv6Addr::kNybbles; ++i) {
+    if (stats.at(i).distinct() > 1) out.push_back(i);
+  }
+  return out;
+}
+
+/// 6Tree's split rule: the leftmost varying position, or -1.
+int leftmost_varying_position(const NybbleStats& stats) {
+  const std::vector<int> varying = varying_positions(stats);
+  return varying.empty() ? -1 : varying.front();
+}
+
+/// DET's split rule: the varying position of minimum entropy (leftmost
+/// on ties), or -1.
+int min_entropy_position(const NybbleStats& stats) {
+  int best = -1;
+  for (const int i : varying_positions(stats)) {
+    if (best < 0 || stats.at(i).entropy() < stats.at(best).entropy()) {
+      best = i;
+    }
+  }
+  return best;
+}
 
 class OracleTree {
  public:
@@ -69,8 +96,8 @@ class OracleTree {
       for (const std::uint32_t i : indices) stats.add(seeds[i]);
     }
     const int split = options_.policy == SplitPolicy::kLeftmost
-                          ? stats.leftmost_varying_position()
-                          : stats.min_entropy_position();
+                          ? leftmost_varying_position(stats)
+                          : min_entropy_position(stats);
     const bool make_leaf = split < 0 ||
                            indices.size() <= options_.max_leaf_seeds ||
                            depth >= Ipv6Addr::kNybbles;
@@ -80,7 +107,7 @@ class OracleTree {
         for (const std::uint32_t i : indices) stats.add(seeds[i]);
       }
       TreeRegion region;
-      std::vector<int> varying = stats.varying_positions();
+      std::vector<int> varying = varying_positions(stats);
       if (static_cast<int>(varying.size()) > options_.max_free) {
         varying.erase(varying.begin(), varying.end() - options_.max_free);
       }
@@ -112,6 +139,37 @@ class OracleTree {
   std::vector<TreeRegion> regions_;
   std::size_t node_count_ = 0;
 };
+
+TEST(NybbleStats, VaryingPositionsDetected) {
+  std::vector<Ipv6Addr> addrs;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    addrs.push_back(Ipv6Addr(0x2001000000000000ULL, i));
+  }
+  const NybbleStats stats(addrs);
+  EXPECT_EQ(varying_positions(stats), std::vector<int>{31});
+  EXPECT_EQ(leftmost_varying_position(stats), 31);
+}
+
+TEST(NybbleStats, MinEntropyPositionPrefersSkewedNybble) {
+  std::vector<Ipv6Addr> addrs;
+  // Nybble 31 uniform over 16 values; nybble 30 takes only two values.
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const std::uint64_t low = ((i % 2) << 4) | (i % 16);
+    addrs.push_back(Ipv6Addr(0x2001000000000000ULL, low));
+  }
+  const NybbleStats stats(addrs);
+  EXPECT_EQ(min_entropy_position(stats), 30);
+  EXPECT_EQ(leftmost_varying_position(stats), 30);
+}
+
+TEST(NybbleStats, ConstantSetHasNoSplit) {
+  const std::vector<Ipv6Addr> addrs(10,
+                                    Ipv6Addr::must_parse("2001:db8::1"));
+  const NybbleStats stats(addrs);
+  EXPECT_TRUE(varying_positions(stats).empty());
+  EXPECT_EQ(leftmost_varying_position(stats), -1);
+  EXPECT_EQ(min_entropy_position(stats), -1);
+}
 
 // ---- Harness ------------------------------------------------------------
 

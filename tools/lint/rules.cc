@@ -220,9 +220,9 @@ void check_metric_name(const RuleContext& ctx, std::vector<Violation>& out) {
 
 /// raw-thread: thread lifetime and failure propagation are runtime/'s
 /// job (WorkerGroup joins on scope exit and rethrows captured
-/// exceptions; ThreadPool owns its workers). A bare std::thread anywhere
-/// else in the library re-solves both problems badly, so the spawn
-/// primitives are confined to src/runtime/.
+/// exceptions; parallel_for runs on a WorkerGroup). A bare std::thread
+/// anywhere else in the library re-solves both problems badly, so the
+/// spawn primitives are confined to src/runtime/.
 void check_raw_thread(const RuleContext& ctx, std::vector<Violation>& out) {
   const FileIndex& fi = ctx.file;
   if (!fi.in_src || fi.module == "runtime") return;
@@ -231,7 +231,7 @@ void check_raw_thread(const RuleContext& ctx, std::vector<Violation>& out) {
     if (std::regex_search(stripped[i], kRawThread)) {
       out.push_back({fi.file, i + 1, "raw-thread",
                      "raw thread spawn outside src/runtime/; use "
-                     "runtime::WorkerGroup or the ThreadPool"});
+                     "runtime::WorkerGroup or runtime::parallel_for"});
     }
   }
 }
