@@ -35,11 +35,15 @@ void PipelineConfig::validate() const {
             "fault plan failed validation");
 }
 
-v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
-                                 v6::tga::TargetGenerator& generator,
-                                 std::span<const Ipv6Addr> seeds,
-                                 const v6::dealias::AliasList& offline_aliases,
-                                 const PipelineConfig& config) {
+namespace {
+
+/// run_tga's body; `index` selects prepare_shared over prepare(seeds).
+v6::metrics::ScanOutcome run(const v6::simnet::Universe& universe,
+                             v6::tga::TargetGenerator& generator,
+                             std::span<const Ipv6Addr> seeds,
+                             const v6::tga::SeedIndex* index,
+                             const v6::dealias::AliasList& offline_aliases,
+                             const PipelineConfig& config) {
   config.validate();
   v6::metrics::ScanOutcome outcome;
   v6::obs::Telemetry* const telemetry = config.telemetry;
@@ -127,7 +131,11 @@ v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
 
   {
     v6::obs::Span span(telemetry, "pipeline.prepare");
-    generator.prepare(seeds, config.seed);
+    if (index != nullptr) {
+      generator.prepare_shared(*index, config.seed);
+    } else {
+      generator.prepare(seeds, config.seed);
+    }
   }
   if (config.attach_online_dealiaser) {
     generator.attach_online_dealiaser(&online, config.type);
@@ -257,6 +265,24 @@ v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
   V6_ENSURE_MSG(outcome.aliases + outcome.dense_filtered <= outcome.responsive,
                 "dealias/filter stages saw more addresses than responded");
   return outcome;
+}
+
+}  // namespace
+
+v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
+                                 v6::tga::TargetGenerator& generator,
+                                 std::span<const Ipv6Addr> seeds,
+                                 const v6::dealias::AliasList& offline_aliases,
+                                 const PipelineConfig& config) {
+  return run(universe, generator, seeds, nullptr, offline_aliases, config);
+}
+
+v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
+                                 v6::tga::TargetGenerator& generator,
+                                 const v6::tga::SeedIndex& seeds,
+                                 const v6::dealias::AliasList& offline_aliases,
+                                 const PipelineConfig& config) {
+  return run(universe, generator, {}, &seeds, offline_aliases, config);
 }
 
 }  // namespace v6::experiment

@@ -16,6 +16,7 @@
 #include "net/service.h"
 #include "obs/telemetry.h"
 #include "simnet/universe.h"
+#include "tga/seed_index.h"
 #include "tga/target_generator.h"
 
 namespace v6::experiment {
@@ -124,6 +125,16 @@ struct PipelineConfig {
 v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
                                  v6::tga::TargetGenerator& generator,
                                  std::span<const v6::net::Ipv6Addr> seeds,
+                                 const v6::dealias::AliasList& offline_aliases,
+                                 const PipelineConfig& config);
+
+/// The same run with the generator borrowing `seeds` (prepare_shared),
+/// so runs on one index share its membership table and space trees. A
+/// tree is built inside the `pipeline.prepare` span of the first run
+/// that asks for it. Outcomes equal the span overload's.
+v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
+                                 v6::tga::TargetGenerator& generator,
+                                 const v6::tga::SeedIndex& seeds,
                                  const v6::dealias::AliasList& offline_aliases,
                                  const PipelineConfig& config);
 

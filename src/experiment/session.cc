@@ -7,6 +7,7 @@
 #include "check/validate.h"
 #include "obs/sinks.h"
 #include "runtime/worker_group.h"
+#include "tga/seed_index.h"
 
 namespace v6::experiment {
 
@@ -32,10 +33,18 @@ std::vector<TgaRun> ScanSession::sweep() const {
   std::vector<v6::obs::MemorySink> buffers(forward_events ? kinds.size() : 0);
 
   v6::obs::Span sweep_span(telemetry_, "sweep");
+  // One index over the borrowed seed span, lent to every run: its
+  // membership table is built here, each space tree by the first run
+  // that asks for it.
+  const v6::tga::SeedIndex index = [this] {
+    const v6::obs::Span span(telemetry_, "sweep.index");
+    return v6::tga::SeedIndex(seeds_);
+  }();
   v6::runtime::parallel_for(jobs_, kinds.size(), [&](std::size_t i) {
     // Everything mutable is created inside the task: the generator, the
     // run's telemetry, and (inside run_tga) the transport, scanner, and
-    // dealiasers. Only the const Universe and the seed span are shared.
+    // dealiasers. Only the const Universe, the seed span and its index
+    // are shared; the index builds each tree once, under its own lock.
     v6::obs::Telemetry& local = locals[i];
     if (forward_events) local.attach_sink(&buffers[i]);
     PipelineConfig config = config_;
@@ -47,7 +56,7 @@ std::vector<TgaRun> ScanSession::sweep() const {
       v6::obs::Span tga_span(
           &local, "tga:" + std::string(v6::tga::to_string(kinds[i])));
       runs[i].outcome =
-          run_tga(*universe_, *generator, seeds_, *alias_list_, config);
+          run_tga(*universe_, *generator, index, *alias_list_, config);
     }
     runs[i].wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -13,11 +13,14 @@
 //                         .with_jobs(4)
 //                         .sweep();
 //
-// sweep() fans the selected TGAs across a thread pool with results
-// bit-identical to a sequential run (docs/ALGORITHMS.md, "Parallel
-// experiment execution"): a run is a pure function of the const
-// Universe plus its own freshly-seeded state, every output slot is
-// pre-assigned, and per-run telemetry is merged in slot order.
+// sweep() runs the selected TGAs on runtime::parallel_for, jobs() at a
+// time, with results bit-identical to a sequential run
+// (docs/ALGORITHMS.md, "Parallel experiment execution"): a run is a pure
+// function of the const Universe, the sweep's seed index and its own
+// freshly-seeded state, every output slot is pre-assigned, and per-run
+// telemetry is merged in slot order. The runs borrow one tga::SeedIndex
+// over the seeds, so the seeds are indexed, and each space tree built,
+// once per sweep rather than once per run.
 //
 // The continuous service (src/service) builds on the same object model:
 // HitlistService holds a session-shaped binding (universe + alias list

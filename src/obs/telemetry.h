@@ -12,7 +12,7 @@
 // its ancestors' names joined with '/', where ancestry is "the spans of
 // the same Telemetry currently open on this thread". Two Telemetry
 // instances never nest into each other, which is what keeps paths
-// deterministic when a thread pool interleaves runs (each run owns a
+// deterministic when parallel workers interleave runs (each run owns a
 // private Telemetry; see experiment/session.cc).
 #pragma once
 

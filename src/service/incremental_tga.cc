@@ -63,13 +63,10 @@ void IncrementalRoster::fan_out(Fn retrain) {
 }
 
 void IncrementalRoster::prepare(std::span<const Ipv6Addr> seeds) {
-  seeds_.clear();
-  seed_set_.clear();
-  for (const Ipv6Addr& addr : seeds) {
-    if (seed_set_.insert(addr).second) seeds_.push_back(addr);
-  }
+  ledger_.clear();
+  ledger_.add(seeds);
   fan_out([this](Arm& arm) {
-    arm.generator->prepare(seeds_, arm.rng_seed);
+    arm.generator->prepare_shared(ledger_, arm.rng_seed);
     arm.incremental_updates = 0;
     arm.full_rebuilds = 0;
   });
@@ -78,35 +75,22 @@ void IncrementalRoster::prepare(std::span<const Ipv6Addr> seeds) {
 void IncrementalRoster::ingest(const SeedDelta& delta) {
   // Removals first: they force every arm to rebuild anyway, so fresh
   // additions in the same delta ride along in the retrain.
-  bool removed_any = false;
-  for (const Ipv6Addr& addr : delta.removed) {
-    if (seed_set_.erase(addr) > 0) removed_any = true;
-  }
-  if (removed_any) {
-    std::erase_if(seeds_, [this](const Ipv6Addr& addr) {
-      return !seed_set_.contains(addr);
-    });
-  }
+  const bool removed_any = ledger_.remove(delta.removed);
+  const std::size_t added = ledger_.add(delta.added);
+  if (!removed_any && added == 0) return;  // delta was a no-op
 
-  std::vector<Ipv6Addr> fresh;
-  fresh.reserve(delta.added.size());
-  for (const Ipv6Addr& addr : delta.added) {
-    if (!seed_set_.insert(addr).second) continue;
-    fresh.push_back(addr);
-    seeds_.push_back(addr);
-  }
-  if (!removed_any && fresh.empty()) return;  // delta was a no-op
-
-  // The ledger and `fresh` are read-only from here until the join.
-  // Addition-only deltas fold in place where the model can (absorb_seeds
-  // never reads the ledger); models cannot unlearn, so a removal
-  // retrains every arm from the filtered ledger.
+  // The ledger is read-only from here until the join, apart from the
+  // space trees it builds on first request. Addition-only deltas fold in
+  // place where the model can (the arms borrow the ledger, which already
+  // holds `fresh`); models cannot unlearn, so a removal retrains every
+  // arm from the filtered ledger.
+  const std::span<const Ipv6Addr> fresh = ledger_.seeds().last(added);
   fan_out([&](Arm& arm) {
     if (!removed_any && arm.generator->absorb_seeds(fresh)) {
       ++arm.incremental_updates;
       return;
     }
-    arm.generator->prepare(seeds_, arm.rng_seed);
+    arm.generator->prepare_shared(ledger_, arm.rng_seed);
     ++arm.full_rebuilds;
   });
 }

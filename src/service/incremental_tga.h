@@ -8,8 +8,10 @@
 // would re-probe them).
 //
 // IncrementalRoster owns every generator on the roster plus the one
-// authoritative merged seed ledger they all train on, and routes each
-// delta to the cheapest path each model supports:
+// authoritative merged seed ledger they all train on — a tga::SeedIndex
+// that every arm borrows, so the roster holds the seeds, their
+// membership table and each space tree once — and routes each delta to
+// the cheapest path each model supports:
 //
 //   - additions    → TargetGenerator::absorb_seeds() when the model can
 //                    fold a delta in place (6Hit's tree recreation);
@@ -18,12 +20,15 @@
 //                    an address, so every arm retrains from the
 //                    filtered ledger.
 //
-// The generators share no state, so the per-arm prepare()/absorb_seeds()
-// calls fan out across runtime::default_jobs() threads (`V6_JOBS`). The
-// ledger is updated on the calling thread before the fan-out and is
-// read-only during it; each pool thread touches only its own arm. Every
-// generator sees the same call sequence with the same RNG seed at any
-// thread count, so the roster's output is independent of `V6_JOBS`.
+// The generators share nothing but the ledger, so the per-arm
+// prepare_shared()/absorb_seeds() calls fan out with
+// runtime::parallel_for over runtime::default_jobs() threads
+// (`V6_JOBS`). The ledger is updated on the calling thread between
+// fan-outs, which drops its cached trees, and is read-only during one,
+// apart from the trees it builds once on first request; each thread
+// touches only its own arm. Every generator sees the same call sequence
+// with the same RNG seed at any thread count, so the roster's output is
+// independent of `V6_JOBS`.
 //
 // The fan-out claims the longest retrains first — 6Graph, then DET, then
 // the rest in roster order — so the long pole starts at once instead of
@@ -34,7 +39,7 @@
 // The ingest statistics (incremental vs full) are what the service
 // reports, so the cost of a churn stream is observable. With a
 // Telemetry attached, every fan-out also records one
-// `service.retrain.<kind>` timer per arm (kind in lowercase): each pool
+// `service.retrain.<kind>` timer per arm (kind in lowercase): each
 // thread times its own arm into the arm's slot, and the calling thread
 // records the slots after the join, in roster order.
 #pragma once
@@ -43,12 +48,12 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ipv6.h"
 #include "obs/telemetry.h"
 #include "tga/registry.h"
+#include "tga/seed_index.h"
 #include "tga/target_generator.h"
 
 namespace v6::service {
@@ -86,7 +91,7 @@ class IncrementalRoster {
     return *arms_[arm].generator;
   }
   /// The merged seed ledger, in insertion order.
-  std::span<const v6::net::Ipv6Addr> seeds() const { return seeds_; }
+  std::span<const v6::net::Ipv6Addr> seeds() const { return ledger_.seeds(); }
 
   /// Arm-deltas the model folded in place via absorb_seeds(), summed
   /// over the roster.
@@ -106,7 +111,7 @@ class IncrementalRoster {
     double retrain_seconds = 0.0;
   };
 
-  /// Runs `retrain(arm)` on every arm across the pool, longest first,
+  /// Runs `retrain(arm)` on every arm in parallel, longest first,
   /// then records the per-arm timers.
   template <typename Fn>
   void fan_out(Fn retrain);
@@ -115,10 +120,9 @@ class IncrementalRoster {
   /// Arm indices in fan-out claim order.
   std::vector<std::size_t> claim_order_;
   v6::obs::Telemetry* telemetry_ = nullptr;
-  /// Authoritative merged seed list, insertion-ordered so rebuilds are
-  /// reproducible; `seed_set_` guards against duplicates.
-  std::vector<v6::net::Ipv6Addr> seeds_;
-  std::unordered_set<v6::net::Ipv6Addr, v6::net::Ipv6AddrHash> seed_set_;
+  /// Authoritative merged seed ledger, insertion-ordered so rebuilds are
+  /// reproducible and free of duplicates; every arm borrows it.
+  v6::tga::SeedIndex ledger_;
 };
 
 }  // namespace v6::service

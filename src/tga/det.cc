@@ -16,9 +16,10 @@ void Det::reset_model() {
   groups_.clear();
   pending_.clear();
   total_emitted_ = 0;
-  SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
-                          .max_leaf_seeds = options_.max_leaf_seeds,
-                          .max_free = options_.max_free});
+  const SpaceTree& tree =
+      seed_index().tree({.policy = SplitPolicy::kMinEntropy,
+                         .max_leaf_seeds = options_.max_leaf_seeds,
+                         .max_free = options_.max_free});
   regions_.reserve(tree.regions().size());
   for (const TreeRegion& r : tree.regions()) {
     Region region;

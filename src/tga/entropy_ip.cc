@@ -30,9 +30,9 @@ int entropy_class(double h, double low, double high) {
 
 void EntropyIp::reset_model() {
   segments_.clear();
-  if (seeds_.empty()) return;
+  if (seeds().empty()) return;
 
-  NybbleStats stats(seeds_);
+  NybbleStats stats(seeds());
 
   // Segment the 32 nybbles into runs of equal entropy class.
   int start = 0;
@@ -58,7 +58,7 @@ void EntropyIp::reset_model() {
   // Fit a value-frequency model per segment.
   for (Segment& seg : segments_) {
     std::unordered_map<std::uint64_t, std::uint32_t> counts;
-    for (const Ipv6Addr& s : seeds_) {
+    for (const Ipv6Addr& s : seeds()) {
       if (counts.size() > options_.max_values) break;
       ++counts[segment_value(s, seg.first, seg.last)];
     }
@@ -104,12 +104,12 @@ std::vector<Ipv6Addr> EntropyIp::next_batch(std::size_t n) {
   std::size_t stall = 0;
   while (out.size() < n && stall < options_.max_stall) {
     Ipv6Addr addr;
-    if (!seeds_.empty() && v6::net::chance(rng_, options_.mutation_prob)) {
+    if (!seeds().empty() && v6::net::chance(rng_, options_.mutation_prob)) {
       // Conditioned generation (stand-in for the original's Bayesian
       // network between segments): keep a real seed's segment values and
       // resample a single segment from the frequency model.
-      addr = seeds_[v6::net::uniform_int<std::size_t>(rng_, 0,
-                                                      seeds_.size() - 1)];
+      addr = seeds()[v6::net::uniform_int<std::size_t>(rng_, 0,
+                                                       seeds().size() - 1)];
       // Resample a host-side segment: the model's network-side
       // conditioning is strong, so mutations stay within the subnet.
       std::size_t pick = v6::net::uniform_int<std::size_t>(

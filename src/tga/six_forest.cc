@@ -10,7 +10,7 @@ using v6::net::Ipv6Addr;
 void SixForest::reset_model() {
   regions_.clear();
   turn_ = 0;
-  if (seeds_.empty()) return;
+  if (seeds().empty()) return;
 
   struct Scored {
     TreeRegion region;
@@ -23,10 +23,10 @@ void SixForest::reset_model() {
   const int trees = std::max(1, options_.trees);
   for (int t = 0; t < trees; ++t) {
     std::vector<Ipv6Addr> partition;
-    partition.reserve(seeds_.size() / static_cast<std::size_t>(trees) + 1);
-    for (std::size_t i = static_cast<std::size_t>(t); i < seeds_.size();
+    partition.reserve(seeds().size() / static_cast<std::size_t>(trees) + 1);
+    for (std::size_t i = static_cast<std::size_t>(t); i < seeds().size();
          i += static_cast<std::size_t>(trees)) {
-      partition.push_back(seeds_[i]);
+      partition.push_back(seeds()[i]);
     }
     if (partition.empty()) continue;
     const SplitPolicy policy =

@@ -27,8 +27,8 @@ void SixGen::reset_model() {
   };
   std::vector<Group> groups;
   v6::net::AddrIndexMap group_of;
-  for (std::uint32_t i = 0; i < seeds_.size(); ++i) {
-    const Ipv6Addr network(seeds_[i].hi(), 0);
+  for (std::uint32_t i = 0; i < seeds().size(); ++i) {
+    const Ipv6Addr network(seeds()[i].hi(), 0);
     const std::uint32_t* found = group_of.find(network);
     const std::uint32_t id =
         found != nullptr ? *found : static_cast<std::uint32_t>(groups.size());
@@ -40,7 +40,7 @@ void SixGen::reset_model() {
     ++group.size;
     for (int pos = 16; pos < 32; ++pos) {
       group.seen[static_cast<std::size_t>(pos - 16)] |=
-          static_cast<std::uint16_t>(1u << seeds_[i].nybble(pos));
+          static_cast<std::uint16_t>(1u << seeds()[i].nybble(pos));
     }
   }
 
@@ -63,7 +63,7 @@ void SixGen::reset_model() {
     if (span_log16 > static_cast<double>(options_.max_span_nybbles)) {
       continue;  // range too sparse to be worth enumerating
     }
-    const Ipv6Addr base = seeds_[group.first];
+    const Ipv6Addr base = seeds()[group.first];
     std::vector<int> positions;
     std::vector<std::vector<std::uint8_t>> values;
     for (int pos = 16; pos < 32; ++pos) {

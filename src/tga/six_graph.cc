@@ -66,9 +66,10 @@ std::uint64_t free_mask_of(const std::vector<int>& free) {
 
 /// The first (leaf, wildcard position) to claim each PatternKey, as an
 /// open-addressing table sized once for every key the leaves can make.
-/// A slot stores only the claiming (leaf, pos); its key is recomputed
-/// from the leaf on each probe, which keeps slots at 8 bytes — the
-/// pattern mining makes up to 31 keys per leaf.
+/// A slot stores the claiming (leaf, pos) and 24 bits of its key's hash,
+/// which keeps slots at 8 bytes — the pattern mining makes up to 31 keys
+/// per leaf. A probe recomputes a slot's key from its leaf only when
+/// the tags agree; unequal tags mean unequal keys.
 class FirstWithKey {
  public:
   FirstWithKey(std::span<const TreeRegion> leaves,
@@ -84,14 +85,17 @@ class FirstWithKey {
   /// (and returns `leaf`) if nobody has.
   std::uint32_t claim(std::uint32_t leaf, int pos) {
     const PatternKey key = key_of(leaf, pos);
+    const std::uint64_t hash = PatternKeyHash{}(key);
+    const auto tag = static_cast<std::uint32_t>(hash >> 40);
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = PatternKeyHash{}(key) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
       if (slot.leaf == kEmpty) {
-        slot = {leaf, static_cast<std::uint32_t>(pos)};
+        slot = {leaf, (tag << 8) | static_cast<std::uint32_t>(pos)};
         return leaf;
       }
-      if (key_of(slot.leaf, static_cast<int>(slot.pos)) == key) {
+      if ((slot.tag_pos >> 8) == tag &&
+          key_of(slot.leaf, static_cast<int>(slot.tag_pos & 0xFF)) == key) {
         return slot.leaf;
       }
     }
@@ -102,7 +106,7 @@ class FirstWithKey {
 
   struct Slot {
     std::uint32_t leaf = kEmpty;
-    std::uint32_t pos = 0;
+    std::uint32_t tag_pos = 0;  // hash tag in the high 24 bits, pos below
   };
 
   PatternKey key_of(std::uint32_t leaf, int pos) const {
@@ -121,9 +125,10 @@ void SixGraph::reset_model() {
   clusters_.clear();
   turn_ = 0;
 
-  SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
-                          .max_leaf_seeds = options_.max_leaf_seeds,
-                          .max_free = options_.max_free});
+  const SpaceTree& tree =
+      seed_index().tree({.policy = SplitPolicy::kMinEntropy,
+                         .max_leaf_seeds = options_.max_leaf_seeds,
+                         .max_free = options_.max_free});
   const auto leaves = tree.regions();
   if (leaves.empty()) return;
 

@@ -6,11 +6,14 @@ namespace v6::tga {
 
 using v6::net::Ipv6Addr;
 
-void SixHit::build_tree(const std::vector<Ipv6Addr>& from) {
+SpaceTree::Options SixHit::tree_options() const {
+  return {.policy = SplitPolicy::kLeftmost,
+          .max_leaf_seeds = options_.max_leaf_seeds,
+          .max_free = options_.max_free};
+}
+
+void SixHit::build_regions(const SpaceTree& tree) {
   regions_.clear();
-  SpaceTree tree(from, {.policy = SplitPolicy::kLeftmost,
-                        .max_leaf_seeds = options_.max_leaf_seeds,
-                        .max_free = options_.max_free});
   regions_.reserve(tree.regions().size());
   double max_density = 0.0;
   for (const TreeRegion& r : tree.regions()) {
@@ -37,20 +40,23 @@ void SixHit::reset_model() {
   pending_.clear();
   discovered_.clear();
   hits_since_rebuild_ = 0;
-  build_tree(seeds_);
+  build_regions(seed_index().tree(tree_options()));
+}
+
+void SixHit::recreate_tree() {
+  std::vector<Ipv6Addr> combined(seeds().begin(), seeds().end());
+  combined.insert(combined.end(), discovered_.begin(), discovered_.end());
+  pending_.clear();
+  build_regions(SpaceTree(combined, tree_options()));
+  hits_since_rebuild_ = 0;
 }
 
 bool SixHit::absorb_seeds(std::span<const Ipv6Addr> added) {
-  if (register_seeds(added) == 0) return true;  // nothing new to learn
-  // Same fold as the hit-threshold recreation in next_batch: rebuild
-  // the partition from the merged seeds plus everything discovered so
-  // far. emitted_ and the RNG stream are untouched, so the generator
-  // neither re-emits old candidates nor replays old draws.
-  std::vector<Ipv6Addr> combined = seeds_;
-  combined.insert(combined.end(), discovered_.begin(), discovered_.end());
-  pending_.clear();
-  build_tree(combined);
-  hits_since_rebuild_ = 0;
+  if (absorb_into_index(added) == 0) return true;  // nothing new to learn
+  // Same fold as the hit-threshold recreation in next_batch. emitted_
+  // and the RNG stream are untouched, so the generator neither
+  // re-emits old candidates nor replays old draws.
+  recreate_tree();
   return true;
 }
 
@@ -59,14 +65,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
   out.reserve(n);
   if (regions_.empty()) return out;
 
-  // Periodic tree recreation with discovered actives folded in.
-  if (hits_since_rebuild_ >= options_.rebuild_after_hits) {
-    std::vector<Ipv6Addr> combined = seeds_;
-    combined.insert(combined.end(), discovered_.begin(), discovered_.end());
-    pending_.clear();
-    build_tree(combined);
-    hits_since_rebuild_ = 0;
-  }
+  if (hits_since_rebuild_ >= options_.rebuild_after_hits) recreate_tree();
 
   std::size_t consecutive_failures = 0;
   while (out.size() < n && consecutive_failures < regions_.size() + 8) {

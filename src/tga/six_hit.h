@@ -51,7 +51,12 @@ class SixHit final : public TargetGeneratorBase {
     bool dead = false;
   };
 
-  void build_tree(const std::vector<v6::net::Ipv6Addr>& from);
+  SpaceTree::Options tree_options() const;
+  /// Replaces the regions with `tree`'s leaves.
+  void build_regions(const SpaceTree& tree);
+  /// Rebuilds the partition from the seeds plus every discovered active
+  /// address, forgetting in-flight feedback.
+  void recreate_tree();
   /// Re-enters region `i`'s current q (or kOut once dead) in greedy_.
   void rekey(std::size_t i);
 

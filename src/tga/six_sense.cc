@@ -37,7 +37,7 @@ void SixSense::reset_model() {
 
   // Partition seeds into /32 network sections.
   std::unordered_map<std::uint64_t, std::vector<Ipv6Addr>> by_section;
-  for (const Ipv6Addr& s : seeds_) {
+  for (const Ipv6Addr& s : seeds()) {
     by_section[s.hi() & ~0xFFFFFFFFULL].push_back(s);
   }
 
@@ -47,7 +47,7 @@ void SixSense::reset_model() {
   pattern_pool_.clear();
   {
     std::unordered_map<std::uint64_t, std::uint32_t> counts;
-    for (const Ipv6Addr& s : seeds_) ++counts[s.lo()];
+    for (const Ipv6Addr& s : seeds()) ++counts[s.lo()];
     std::vector<std::pair<std::uint64_t, std::uint32_t>> common;
     // `common` is re-sorted below by (count, value) — a total order.
     // v6lint: allow(unordered-iteration)

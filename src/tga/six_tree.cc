@@ -10,9 +10,10 @@ using v6::net::Ipv6Addr;
 void SixTree::reset_model() {
   regions_.clear();
   turn_ = 0;
-  SpaceTree tree(seeds_, {.policy = SplitPolicy::kLeftmost,
-                          .max_leaf_seeds = options_.max_leaf_seeds,
-                          .max_free = options_.max_free});
+  const SpaceTree& tree =
+      seed_index().tree({.policy = SplitPolicy::kLeftmost,
+                         .max_leaf_seeds = options_.max_leaf_seeds,
+                         .max_free = options_.max_free});
   regions_.reserve(tree.regions().size());
   for (const TreeRegion& r : tree.regions()) {
     Region region;

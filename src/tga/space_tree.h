@@ -96,6 +96,8 @@ class SpaceTree {
     std::uint32_t max_leaf_seeds = 16;
     /// Cap on free dimensions per region (16^max_free addresses).
     int max_free = 6;
+
+    bool operator==(const Options&) const = default;
   };
 
   SpaceTree(std::span<const v6::net::Ipv6Addr> seeds, Options options);

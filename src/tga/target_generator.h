@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "net/ipv6.h"
 #include "net/rng.h"
 #include "net/service.h"
+#include "tga/seed_index.h"
 
 namespace v6::dealias {
 class OnlineDealiaser;
@@ -37,6 +39,16 @@ class TargetGenerator {
   virtual void prepare(std::span<const v6::net::Ipv6Addr> seeds,
                        std::uint64_t rng_seed) = 0;
 
+  /// Resets the generator and trains it on `index`, which it borrows
+  /// instead of copying the seeds: generators trained on one index share
+  /// its membership table and space trees. The index must outlive the
+  /// generator's use of it (until the next prepare) and change only as
+  /// absorb_seeds() states. The default forwards to
+  /// prepare(index.seeds(), rng_seed), which copies.
+  virtual void prepare_shared(const SeedIndex& index, std::uint64_t rng_seed) {
+    prepare(index.seeds(), rng_seed);
+  }
+
   /// Produces up to `n` fresh candidate addresses (never a previously
   /// returned address, never a seed). May return fewer only if the
   /// generator's model is exhausted.
@@ -54,6 +66,11 @@ class TargetGenerator {
   /// delta — the default for generators whose structures are derived
   /// once from the complete seed set — in which case the caller must
   /// fall back to prepare() with the merged seed list.
+  ///
+  /// Who adds `added` to the seed set: after prepare_shared(), the
+  /// index's owner has already added it (SeedIndex::add) and `added`
+  /// lists only the addresses that call appended; after prepare(), the
+  /// generator appends to its private index itself, skipping known seeds.
   virtual bool absorb_seeds(std::span<const v6::net::Ipv6Addr> added) {
     (void)added;
     return false;
@@ -69,57 +86,66 @@ class TargetGenerator {
   }
 };
 
-/// Common bookkeeping shared by all concrete generators: the seed set,
-/// the set of already-emitted addresses (a generator never repeats
-/// itself), and a deterministic RNG.
+/// Common bookkeeping shared by all concrete generators: the seed index
+/// (borrowed, or private to the generator), the set of already-emitted
+/// addresses (a generator never repeats itself), and a deterministic RNG.
 class TargetGeneratorBase : public TargetGenerator {
  public:
+  /// Trains on a private index over a copy of `seeds`.
   void prepare(std::span<const v6::net::Ipv6Addr> seeds,
                std::uint64_t rng_seed) final {
-    seeds_.assign(seeds.begin(), seeds.end());
-    seed_set_.clear();
-    seed_set_.reserve(seeds.size());
-    for (const v6::net::Ipv6Addr& s : seeds_) seed_set_.insert(s, 0);
-    emitted_.clear();
-    rng_ = v6::net::make_rng(rng_seed, v6::net::splitmix64(name().size()));
-    reset_model();
+    auto own = std::make_unique<SeedIndex>(
+        std::vector<v6::net::Ipv6Addr>(seeds.begin(), seeds.end()));
+    index_ = own.get();
+    own_index_ = std::move(own);
+    reset(rng_seed);
+  }
+
+  void prepare_shared(const SeedIndex& index, std::uint64_t rng_seed) final {
+    index_ = &index;
+    own_index_.reset();
+    reset(rng_seed);
   }
 
  protected:
-  /// Build the generator-specific model from seeds_ (already populated).
+  /// Build the generator-specific model from seed_index().
   virtual void reset_model() = 0;
 
-  /// Merges `added` into seeds_/seed_set_, skipping duplicates. Returns
-  /// how many were genuinely new. Building block for absorb_seeds
-  /// overrides; never touches emitted_ or the RNG, so accumulated
-  /// generator state survives the delta.
-  std::size_t register_seeds(std::span<const v6::net::Ipv6Addr> added) {
-    std::size_t fresh = 0;
-    for (const v6::net::Ipv6Addr& addr : added) {
-      if (seed_set_.insert(addr, 0)) {
-        seeds_.push_back(addr);
-        ++fresh;
-      }
-    }
-    return fresh;
+  const SeedIndex& seed_index() const { return *index_; }
+  std::span<const v6::net::Ipv6Addr> seeds() const { return index_->seeds(); }
+
+  /// The seed-set half of absorb_seeds: returns how many of `added` are
+  /// new seeds, appending them first if the index is private. Never
+  /// touches emitted_ or the RNG, so accumulated generator state
+  /// survives the delta.
+  std::size_t absorb_into_index(std::span<const v6::net::Ipv6Addr> added) {
+    return own_index_ != nullptr ? own_index_->add(added) : added.size();
   }
 
   /// Appends `addr` to `out` if it is neither a seed nor already emitted.
   /// Returns true if appended.
   bool emit(const v6::net::Ipv6Addr& addr,
             std::vector<v6::net::Ipv6Addr>& out) {
-    if (seed_set_.contains(addr)) return false;
+    if (index_->contains(addr)) return false;
     if (!emitted_.insert(addr, 0)) return false;
     out.push_back(addr);
     return true;
   }
 
-  std::vector<v6::net::Ipv6Addr> seeds_;
-  // Flat sets (the mapped index is unused): only ever inserted into and
+  // A flat set (the mapped index is unused): only ever inserted into and
   // queried, never erased from or iterated.
-  v6::net::AddrIndexMap seed_set_;
   v6::net::AddrIndexMap emitted_;
   v6::net::Rng rng_;
+
+ private:
+  void reset(std::uint64_t rng_seed) {
+    emitted_.clear();
+    rng_ = v6::net::make_rng(rng_seed, v6::net::splitmix64(name().size()));
+    reset_model();
+  }
+
+  std::unique_ptr<SeedIndex> own_index_;
+  const SeedIndex* index_ = nullptr;
 };
 
 }  // namespace v6::tga

@@ -1,7 +1,9 @@
 // The acceptance bar for the parallel experiment runner: running the TGA
-// sweep across a thread pool must produce ScanOutcomes field-identical
+// sweep on parallel workers must produce ScanOutcomes field-identical
 // to the sequential sweep. Each run owns its RNG (seeded from the
-// config), transport, and scanner, so scheduling cannot leak in.
+// config), transport, and scanner, and the runs share only the sweep's
+// seed index, whose trees are built once whichever run asks first, so
+// scheduling cannot leak in.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -200,7 +202,7 @@ TEST(ParallelEquivalence, MergedTelemetryIsDeterministic) {
   EXPECT_TRUE(saw_virtual_histogram);
   EXPECT_EQ(paths_seq, paths_par);
 
-  // Per-run reports carry per-TGA attribution that survives the pool.
+  // Per-run reports carry per-TGA attribution that survives the workers.
   ASSERT_EQ(runs_seq.size(), runs_par.size());
   for (std::size_t i = 0; i < runs_seq.size(); ++i) {
     SCOPED_TRACE(i);

@@ -276,8 +276,8 @@ TEST(HitlistService, EpochSequenceIsPinned) {
 // With a Telemetry attached, every refresh phase and every ingest runs
 // under its span, and the roster times each arm once per fan-out (the
 // constructor's prepare plus every effective delta). Timer seconds are
-// wall time, but the counts are deterministic: the pool threads only
-// fill per-arm slots, and the writer records them after the join, so
+// wall time, but the counts are deterministic: the fan-out's threads
+// only fill per-arm slots, and the writer records them after the join, so
 // V6_JOBS=1 must count exactly what the default thread count does.
 TEST(HitlistService, PhaseAndRetrainTimersCountEveryCall) {
   static constexpr std::uint64_t kCycles = 3;

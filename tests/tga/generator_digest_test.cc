@@ -5,16 +5,20 @@
 // is what holds the other generators still through refactors.
 //
 // A digest moves only on an intentional behavior change; the failure
-// message prints the new value to paste into kPinned.
+// message prints the new value to paste into kPinned. The same digests
+// hold when all nine generators borrow one SeedIndex and run in
+// lockstep, so sharing its membership table and trees changes nothing.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/rng.h"
 #include "tga/registry.h"
+#include "tga/seed_index.h"
 #include "testutil/fixtures.h"
 
 namespace v6::tga {
@@ -55,26 +59,30 @@ struct Loop {
   std::size_t hits = 0;
 };
 
-/// Eight rounds of next_batch(1500), each address folded into the digest
-/// and then observed with ground-truth ICMP activity (no loss draw, so
-/// the feedback is a pure function of the address).
-Loop run_loop(TgaKind kind) {
+constexpr int kRounds = 8;
+
+/// One round: next_batch(1500), each address folded into the digest and
+/// then observed with ground-truth ICMP activity (no loss draw, so the
+/// feedback is a pure function of the address).
+void run_round(TargetGenerator& generator, Loop& loop) {
   const auto& universe = v6::testutil::small_universe();
+  const auto batch = generator.next_batch(1500);
+  loop.digest = splitmix64(loop.digest ^ batch.size());
+  for (const Ipv6Addr& addr : batch) {
+    loop.digest = splitmix64(splitmix64(loop.digest ^ addr.hi()) ^ addr.lo());
+    const bool active = universe.is_aliased(addr) ||
+                        universe.host_active(addr, v6::net::ProbeType::kIcmp);
+    loop.hits += active ? 1 : 0;
+    generator.observe(addr, active);
+  }
+}
+
+/// kRounds rounds of a generator prepared on its own.
+Loop run_loop(TgaKind kind) {
   auto generator = make_generator(kind);
   generator->prepare(stride_seeds(3000), 42);
   Loop loop;
-  for (int round = 0; round < 8; ++round) {
-    const auto batch = generator->next_batch(1500);
-    loop.digest = splitmix64(loop.digest ^ batch.size());
-    for (const Ipv6Addr& addr : batch) {
-      loop.digest = splitmix64(splitmix64(loop.digest ^ addr.hi()) ^ addr.lo());
-      const bool active =
-          universe.is_aliased(addr) ||
-          universe.host_active(addr, v6::net::ProbeType::kIcmp);
-      loop.hits += active ? 1 : 0;
-      generator->observe(addr, active);
-    }
-  }
+  for (int round = 0; round < kRounds; ++round) run_round(*generator, loop);
   return loop;
 }
 
@@ -98,6 +106,35 @@ TEST_P(GeneratorDigest, MatchesPinnedLoop) {
   EXPECT_EQ(loop.digest, pinned.digest)
       << to_string(pinned.kind) << " output moved; new digest "
       << hex(loop.digest);
+}
+
+// Every generator borrows one index over the same seeds, and each round
+// runs one batch of every kind in kPinned order, so each generator's
+// batches interleave with the others' on the shared trees and table.
+TEST(GeneratorDigestShared, AllKindsOnOneIndexMatchPinnedLoops) {
+  const std::vector<Ipv6Addr> seeds = stride_seeds(3000);
+  const SeedIndex index(seeds);
+  std::vector<std::unique_ptr<TargetGenerator>> generators;
+  for (const Pinned& pinned : kPinned) {
+    generators.push_back(make_generator(pinned.kind));
+    generators.back()->prepare_shared(index, 42);
+  }
+  // One leftmost tree (6Tree, 6Scan, 6Hit), one min-entropy tree (DET,
+  // 6Graph); 6Sense and 6Forest split subsets of the seeds themselves.
+  EXPECT_EQ(index.builds(), 2u);
+  std::vector<Loop> loops(generators.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < generators.size(); ++k) {
+      run_round(*generators[k], loops[k]);
+    }
+  }
+  for (std::size_t k = 0; k < generators.size(); ++k) {
+    const TgaKind kind = kPinned[k].kind;
+    EXPECT_GT(loops[k].hits, 0u) << to_string(kind);
+    EXPECT_EQ(loops[k].digest, kPinned[k].digest)
+        << to_string(kind) << " output moved on a shared index; digest "
+        << hex(loops[k].digest);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTgas, GeneratorDigest,

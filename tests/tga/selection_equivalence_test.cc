@@ -85,9 +85,9 @@ class LinearDet final : public TargetGeneratorBase {
     regions_.clear();
     pending_.clear();
     total_emitted_ = 0;
-    SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
-                            .max_leaf_seeds = options_.max_leaf_seeds,
-                            .max_free = options_.max_free});
+    SpaceTree tree(seeds(), {.policy = SplitPolicy::kMinEntropy,
+                             .max_leaf_seeds = options_.max_leaf_seeds,
+                             .max_free = options_.max_free});
     for (const TreeRegion& r : tree.regions()) {
       Region region;
       region.cursor = RegionCursor(r.base, r.free);
@@ -129,7 +129,7 @@ class LinearSixHit final : public TargetGeneratorBase {
   bool is_online() const override { return true; }
 
   bool absorb_seeds(std::span<const Ipv6Addr> added) override {
-    if (register_seeds(added) == 0) return true;
+    if (absorb_into_index(added) == 0) return true;
     rebuild();
     return true;
   }
@@ -199,7 +199,7 @@ class LinearSixHit final : public TargetGeneratorBase {
     pending_.clear();
     discovered_.clear();
     hits_since_rebuild_ = 0;
-    build_tree(seeds_);
+    build_tree(seeds());
   }
 
  private:
@@ -210,14 +210,14 @@ class LinearSixHit final : public TargetGeneratorBase {
   };
 
   void rebuild() {
-    std::vector<Ipv6Addr> combined = seeds_;
+    std::vector<Ipv6Addr> combined(seeds().begin(), seeds().end());
     combined.insert(combined.end(), discovered_.begin(), discovered_.end());
     pending_.clear();
     build_tree(combined);
     hits_since_rebuild_ = 0;
   }
 
-  void build_tree(const std::vector<Ipv6Addr>& from) {
+  void build_tree(std::span<const Ipv6Addr> from) {
     regions_.clear();
     SpaceTree tree(from, {.policy = SplitPolicy::kLeftmost,
                           .max_leaf_seeds = options_.max_leaf_seeds,
