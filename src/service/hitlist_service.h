@@ -150,7 +150,7 @@ class HitlistService {
   void ingest_seeds(const SeedDelta& delta);
 
   /// Query facade — safe from any thread, concurrently with the
-  /// refresh loop.
+  /// refresh loop. lookup() is one acquire load plus one hash probe.
   const HitlistEpoch& snapshot() const { return store_.snapshot(); }
   bool lookup(const v6::net::Ipv6Addr& addr) const {
     return store_.lookup(addr);

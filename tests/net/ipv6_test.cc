@@ -138,7 +138,9 @@ TEST(Ipv6Addr, WithNybbleRoundTrip) {
     const Ipv6Addr b = a.with_nybble(pos, v);
     EXPECT_EQ(b.nybble(pos), v);
     for (int other = 0; other < 32; ++other) {
-      if (other != pos) EXPECT_EQ(b.nybble(other), a.nybble(other));
+      if (other != pos) {
+        EXPECT_EQ(b.nybble(other), a.nybble(other));
+      }
     }
   }
 }

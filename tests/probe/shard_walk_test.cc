@@ -54,7 +54,9 @@ TEST(ShardWalkTest, SingleShardIsAPermutation) {
       ASSERT_LT(item.index, n);
       EXPECT_FALSE(seen[item.index]) << "index visited twice, n=" << n;
       seen[item.index] = true;
-      if (!first) EXPECT_GT(item.pos, last_pos) << "positions not increasing";
+      if (!first) {
+        EXPECT_GT(item.pos, last_pos) << "positions not increasing";
+      }
       last_pos = item.pos;
       first = false;
     }

@@ -1,17 +1,22 @@
 // Tests for the versioned hitlist store (src/service/hitlist_store.h):
 // epoch lifecycle (sort/dedup/version/fingerprint at publication),
+// the epoch's hash index against a binary search of its addresses,
 // snapshot stability across later publications, and — the reason the
 // suite carries the `concurrency` label — snapshot isolation under a
 // live writer. The isolation test is the one to run under the tsan
-// preset: readers continuously re-verify epoch fingerprints while the
-// writer publishes, so any torn read or unsynchronized publication
-// shows up as a data race or a fingerprint mismatch.
+// preset: readers continuously re-verify epoch fingerprints and query
+// the index while the writer publishes, so any torn read or
+// unsynchronized publication shows up as a data race or a mismatch.
 #include "service/hitlist_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "net/ipv6.h"
@@ -59,6 +64,63 @@ TEST(HitlistStore, PublishSortsDedupsAndStampsTheEpoch) {
   EXPECT_FALSE(epoch.contains(addr(25)));
   EXPECT_TRUE(store.lookup(addr(20)));
   EXPECT_EQ(store.epoch_count(), 2u);
+}
+
+/// `n` distinct addresses in two /64s, dense enough that lo ± 1 of a
+/// member is often a member too.
+std::vector<Ipv6Addr> random_epoch(std::size_t n, v6::net::Rng& rng) {
+  std::set<Ipv6Addr> addrs;
+  while (addrs.size() < n) {
+    addrs.emplace((0x2001'0db8ULL << 32) | (rng() % 2), rng() % (8 * n));
+  }
+  return {addrs.begin(), addrs.end()};
+}
+
+// contains() answers as std::binary_search over the epoch's addresses.
+// The sizes cover the smallest tables, both sides of the 16 → 32-slot
+// step (11 and 12) and of the 2^17 → 2^18 step (91,750 and 91,751) at
+// the 70% load limit, and a 100,000-address epoch. Absent probes sit
+// next to members (lo ± 1, a scrambled interface identifier); against
+// the 11-address epoch, random probes mostly start their run at a
+// member's home slot.
+TEST(HitlistStore, IndexedLookupMatchesBinarySearch) {
+  v6::net::Rng rng = v6::net::make_rng(23, /*tag=*/0x1DE7);
+  HitlistStore store;
+  const HitlistEpoch& root = store.snapshot();
+  for (const std::size_t n : {0u, 1u, 2u, 11u, 12u, 15u, 16u, 17u, 91'750u,
+                              91'751u, 100'000u}) {
+    HitlistStore::EpochBuilder builder = store.begin_epoch();
+    builder.add_all(random_epoch(n, rng));
+    const HitlistEpoch& epoch = store.publish_epoch(std::move(builder));
+    ASSERT_EQ(epoch.size(), n);
+
+    // The index answers as the binary search; the root answers false.
+    const auto agrees = [&](const Ipv6Addr& probe) {
+      return epoch.contains(probe) == std::binary_search(epoch.addrs.begin(),
+                                                         epoch.addrs.end(),
+                                                         probe) &&
+             !root.contains(probe);
+    };
+    const auto at = [n](const Ipv6Addr& member) {
+      return "n=" + std::to_string(n) + " " + member.to_string();
+    };
+    for (const Ipv6Addr& member : epoch.addrs) {
+      ASSERT_TRUE(epoch.contains(member)) << at(member);
+      ASSERT_FALSE(root.contains(member)) << at(member);
+      ASSERT_TRUE(agrees(Ipv6Addr(member.hi(), member.lo() + 1)))
+          << at(member);
+      ASSERT_TRUE(agrees(Ipv6Addr(member.hi(), member.lo() - 1)))
+          << at(member);
+      ASSERT_TRUE(agrees(
+          Ipv6Addr(member.hi(), member.lo() ^ (rng() | (1ULL << 63)))))
+          << at(member);
+    }
+    if (n == 11) {
+      for (int i = 0; i < 10'000; ++i) {
+        ASSERT_TRUE(agrees(Ipv6Addr(rng(), rng())));
+      }
+    }
+  }
 }
 
 TEST(HitlistStore, SnapshotReferencesSurviveLaterPublications) {
@@ -118,6 +180,10 @@ TEST(HitlistStore, SnapshotsAreIsolatedFromAConcurrentWriter) {
         // The epoch's contents must match what the writer publishes for
         // that version: lo values [0, version).
         ASSERT_EQ(snap.size(), snap.version);
+        if (snap.version > 0) {
+          ASSERT_TRUE(snap.contains(addr(snap.version - 1)));
+        }
+        ASSERT_FALSE(snap.contains(addr(snap.version)));
         last_version = snap.version;
         ++observed;
       }

@@ -153,8 +153,10 @@ TEST_P(GeneratorContract, OnlineFlagConsistent) {
 }
 
 std::vector<TgaKind> core_and_extension_tgas() {
-  std::vector<TgaKind> kinds(kAllTgas.begin(), kAllTgas.end());
-  kinds.insert(kinds.end(), kExtensionTgas.begin(), kExtensionTgas.end());
+  std::vector<TgaKind> kinds;
+  kinds.reserve(kAllTgas.size() + kExtensionTgas.size());
+  for (const TgaKind kind : kAllTgas) kinds.push_back(kind);
+  for (const TgaKind kind : kExtensionTgas) kinds.push_back(kind);
   return kinds;
 }
 
