@@ -65,18 +65,23 @@ void BM_Ipv6Format(benchmark::State& state) {
 BENCHMARK(BM_Ipv6Format);
 
 void BM_AddrIndexFind(benchmark::State& state) {
-  // The lookup behind Universe::probe: half the queries hit, half miss.
-  v6::net::AddrIndexMap map;
+  // The lookup behind Universe::probe: an index of positions in a key
+  // array, as Universe keeps over its host records, so a hit reads its
+  // key back from the array. Half the queries hit, half miss.
+  v6::net::AddrIndex index;
+  std::vector<Ipv6Addr> keys;
   v6::net::Rng rng(5);
   std::vector<Ipv6Addr> queries;
   for (std::uint32_t i = 0; i < 100'000; ++i) {
     const Ipv6Addr addr(rng(), rng());
-    map.insert(addr, i);
+    index.insert(addr, keys.size(), v6::net::key_in(keys));
+    keys.push_back(addr);
     queries.push_back((i % 2) == 0 ? addr : Ipv6Addr(rng(), rng()));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(queries[i % queries.size()]));
+    benchmark::DoNotOptimize(
+        index.find(queries[i % queries.size()], v6::net::key_in(keys)));
     ++i;
   }
 }

@@ -13,7 +13,9 @@
 //
 // Correctness checks run on every pass, smoke or full:
 //
-//   * every snapshot's fingerprint re-verifies (no torn epoch reads),
+//   * every epoch the reader sees re-verifies its fingerprint (no torn
+//     epoch reads), once, when its version first appears, and the last
+//     one once more after the timed loop,
 //   * epoch versions observed by the reader are monotonic,
 //   * lookup(addr) agrees with a binary search of the settled
 //     snapshot's sorted addresses (the oracle for the epoch's index).
@@ -85,37 +87,58 @@ struct LookupPass {
   std::uint64_t present = 0;
 };
 
-/// Runs `total` lookups cycling the query list; spot-checks the
-/// snapshot invariants (fingerprint, monotonic version, agreement with
-/// lookup) every `kAuditStride` queries so the checks don't dominate
-/// the measured cost.
+void verify_fingerprint(const v6::service::HitlistEpoch& snap) {
+  if (v6::service::epoch_fingerprint(snap.version, snap.addrs) !=
+      snap.fingerprint) {
+    fail("snapshot fingerprint mismatch at version " +
+         std::to_string(snap.version));
+  }
+}
+
+/// Runs lookups cycling the query list: `total` of them, and on until
+/// the reader has seen an epoch of at least `min_version` (so a pass
+/// beside a writer overlaps a publication) or a minute has passed, in
+/// which case the caller's publication check fails. Every `kAuditStride`
+/// queries it checks that the epoch version did not go backwards, and
+/// it fingerprints each epoch once, when its version first appears (as
+/// perfbench's serve reader does): a fingerprint hashes the whole
+/// snapshot, hundreds of lookups' worth, so one per stride would time
+/// the audit instead of the lookups. A pass that audited no epoch
+/// fails, and the last snapshot is re-verified after the timed loop.
 LookupPass run_lookups(const v6::service::HitlistService& service,
                        const std::vector<Ipv6Addr>& queries,
-                       std::uint64_t total) {
+                       std::uint64_t total, std::uint64_t min_version = 0) {
   constexpr std::uint64_t kAuditStride = 1024;
+  constexpr double kMaxWaitSeconds = 60.0;
   LookupPass pass;
   std::uint64_t last_version = 0;
+  std::uint64_t audited = 0;
+  bool waiting = min_version > 0;
   const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < total; ++i) {
+  std::uint64_t i = 0;
+  for (; i < total || waiting; ++i) {
     const Ipv6Addr& addr = queries[i % queries.size()];
     const bool hit = service.lookup(addr);
     pass.present += hit ? 1 : 0;
     if (i % kAuditStride == 0) {
       const v6::service::HitlistEpoch& snap = service.snapshot();
-      if (v6::service::epoch_fingerprint(snap.version, snap.addrs) !=
-          snap.fingerprint) {
-        fail("snapshot fingerprint mismatch at version " +
-             std::to_string(snap.version));
-      }
       if (snap.version < last_version) {
         fail("epoch version went backwards: " + std::to_string(snap.version) +
              " after " + std::to_string(last_version));
       }
-      last_version = snap.version;
+      if (snap.version != last_version) {
+        verify_fingerprint(snap);
+        ++audited;
+        last_version = snap.version;
+      }
+      waiting = last_version < min_version &&
+                seconds_since(start) < kMaxWaitSeconds;
     }
   }
   pass.wall_seconds = seconds_since(start);
-  pass.lookups = total;
+  pass.lookups = i;
+  if (audited == 0) fail("lookup pass audited no epoch");
+  verify_fingerprint(service.snapshot());
   return pass;
 }
 
@@ -191,23 +214,28 @@ int main(int argc, char** argv) {
   // --- Lookups under concurrent refresh -----------------------------------
   // A writer thread runs the real refresh loop (aging universe, rescans,
   // bandit discovery, epoch publication) until the reader finishes its
-  // pass; the reader's audits catch any torn epoch along the way.
+  // pass, which runs on past `lookups` until it has seen the writer's
+  // first epoch; the reader's audits catch any torn epoch along the way.
+  // Each sample is the pass's wall time scaled to `lookups` lookups.
   std::vector<double> concurrent_samples;
   std::uint64_t cycles_during = 0;
   LookupPass concurrent;
   for (unsigned r = 0; r < args.repeat; ++r) {
     std::atomic<bool> stop{false};
     const std::uint64_t cycles_before = service.stats().cycles;
+    const std::uint64_t next_version = service.snapshot().version + 1;
     v6::runtime::WorkerGroup writer;
     writer.spawn([&service, &stop] {
       while (!stop.load(std::memory_order_relaxed)) {
         service.refresh_once();
       }
     });
-    concurrent = run_lookups(service, queries, lookups);
+    concurrent = run_lookups(service, queries, lookups, next_version);
     stop.store(true, std::memory_order_relaxed);
     writer.join();
-    concurrent_samples.push_back(concurrent.wall_seconds);
+    concurrent_samples.push_back(concurrent.wall_seconds *
+                                 static_cast<double>(lookups) /
+                                 static_cast<double>(concurrent.lookups));
     cycles_during += service.stats().cycles - cycles_before;
   }
   const double concurrent_rate =

@@ -117,11 +117,11 @@ ScanStats Scanner::scan(std::span<const Ipv6Addr> targets, ProbeType type,
   unique.clear();
   unique.reserve(targets.size());
   {
-    v6::net::AddrIndexMap& seen = seen_scratch_;
+    v6::net::AddrIndex& seen = seen_scratch_;
     seen.clear();
-    seen.reserve(targets.size());
+    seen.reserve(targets.size(), v6::net::key_in(unique));
     for (const Ipv6Addr& a : targets) {
-      if (seen.insert(a, 0)) {
+      if (seen.insert(a, unique.size(), v6::net::key_in(unique)).second) {
         unique.push_back(a);
       } else {
         ++stats.deduped;

@@ -4,6 +4,10 @@
 // This plays the role of Scanv6 in the paper (§4.2): a list-driven scanner
 // with blocklisting and response verification that the TGA pipeline and
 // the dealiasers share.
+//
+// Dedup copies each target's first occurrence into a uniquified list and
+// indexes positions in that list (net::AddrIndex, 8-byte slots), so no
+// address is stored twice.
 #pragma once
 
 #include <cstdint>
@@ -181,12 +185,13 @@ class Scanner {
   /// addresses that needed a k-th retransmission.
   std::vector<v6::obs::Counter*> retry_counters_;
   /// Per-scan dedup scratch, reused across batches so the hot loop does
-  /// not reallocate hash buckets every call. The flat open-addressing
-  /// table (net/addr_index.h) replaces the old std::unordered_set: no
-  /// per-node allocation, one cache line per lookup. Scanner is
-  /// therefore not reentrant from its own ReplyCallback (it never was:
-  /// the transport and rate limiter are shared state too).
-  v6::net::AddrIndexMap seen_scratch_;
+  /// not reallocate its table every call: address -> its position in
+  /// unique_scratch_ (net/addr_index.h), 8 bytes per slot, no per-node
+  /// allocation, and an address read back from unique_scratch_ only
+  /// where a slot's tag matches. Scanner is therefore not reentrant
+  /// from its own ReplyCallback (it never was: the transport and rate
+  /// limiter are shared state too).
+  v6::net::AddrIndex seen_scratch_;
   std::vector<v6::net::Ipv6Addr> unique_scratch_;
 };
 

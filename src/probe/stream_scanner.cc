@@ -301,15 +301,17 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   v6::obs::StallWatchdog* const watchdog = options_.watchdog;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Dedup on the caller thread: one flat-table pass marks the first
-  // occurrence of each address. The walks then skip indices with
-  // keep_[i] unset — no uniquified copy of the target list is built.
+  // Dedup on the caller thread: one pass over an index of positions in
+  // `targets` marks the first occurrence of each address. The walks
+  // then skip indices with keep_[i] unset — no uniquified copy of the
+  // target list is built.
+  const auto target_at = v6::net::key_in(targets);
   dedup_.clear();
-  dedup_.reserve(targets.size());
+  dedup_.reserve(targets.size(), target_at);
   keep_.assign(targets.size(), 0);
   std::uint64_t unique_count = 0;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (dedup_.insert(targets[i], 0)) {
+    if (dedup_.insert(targets[i], i, target_at).second) {
       keep_[i] = 1;
       ++unique_count;
     } else {

@@ -13,6 +13,12 @@
 // Nothing is shared between workers, so there is no queue, no lock, and
 // no reply to authenticate.
 //
+// Dedup runs on the calling thread before any walk: a net::AddrIndex of
+// positions in the caller's target span marks each address's first
+// occurrence in keep_. Its 8-byte slots copy no address (1.5M targets
+// take a 32 MiB table), and it reads a target back only where a slot's
+// tag matches, so a new address costs one slot probe.
+//
 // With shards == 1 the walk, probe, and classification fuse into one
 // loop on the calling thread — no worker thread, no kept bytes — and the
 // multi-shard merge is required to stay bit-identical to it.
@@ -173,9 +179,9 @@ class StreamScanner {
   const Blocklist* blocklist_;
   StreamScanOptions options_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  /// Dedup scratch reused across scans (flat table, satellite of the
-  /// same change that moved Scanner off unordered_set).
-  v6::net::AddrIndexMap dedup_;
+  /// Dedup scratch reused across scans: target address -> its first
+  /// position in the scanned span. Holds no pointer to the span.
+  v6::net::AddrIndex dedup_;
   std::vector<std::uint8_t> keep_;
   /// Stateless backoff-jitter key (same stream tag as Scanner's
   /// jitter_rng_, but mixed per (addr, attempt) so shards agree).

@@ -1,12 +1,14 @@
 #include "seeds/seed_dataset.h"
 
+#include <optional>
+
 #include "check/contracts.h"
 
 namespace v6::seeds {
 
 void SeedDataset::add(const v6::net::Ipv6Addr& addr, SeedSource source) {
   const auto [i, inserted] =
-      index_.emplace(addr, static_cast<std::uint32_t>(addrs_.size()));
+      index_.insert(addr, addrs_.size(), v6::net::key_in(addrs_));
   if (inserted) {
     addrs_.push_back(addr);
     masks_.push_back(source_bit(source));
@@ -21,12 +23,13 @@ void SeedDataset::add(const v6::net::Ipv6Addr& addr, SeedSource source) {
 void SeedDataset::reserve(std::size_t n) {
   addrs_.reserve(n);
   masks_.reserve(n);
-  index_.reserve(n);
+  index_.reserve(n, v6::net::key_in(addrs_));
 }
 
 std::uint16_t SeedDataset::sources_of(const v6::net::Ipv6Addr& addr) const {
-  const std::uint32_t* i = index_.find(addr);
-  if (i == nullptr) return 0;
+  const std::optional<std::uint32_t> i =
+      index_.find(addr, v6::net::key_in(addrs_));
+  if (!i.has_value()) return 0;
   V6_INVARIANT(*i < masks_.size());
   return masks_[*i];
 }

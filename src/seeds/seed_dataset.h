@@ -35,7 +35,7 @@ class SeedDataset {
   std::uint16_t sources_of(const v6::net::Ipv6Addr& addr) const;
 
   bool contains(const v6::net::Ipv6Addr& addr) const {
-    return index_.contains(addr);
+    return index_.contains(addr, v6::net::key_in(addrs_));
   }
 
   std::size_t size() const { return addrs_.size(); }
@@ -51,7 +51,7 @@ class SeedDataset {
   std::vector<v6::net::Ipv6Addr> addrs_;
   std::vector<std::uint16_t> masks_;
   /// addr -> its position in addrs_ and masks_.
-  v6::net::AddrIndexMap index_;
+  v6::net::AddrIndex index_;
 };
 
 }  // namespace v6::seeds

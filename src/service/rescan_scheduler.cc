@@ -1,7 +1,6 @@
 #include "service/rescan_scheduler.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <span>
 
@@ -12,15 +11,17 @@ namespace v6::service {
 using v6::net::Ipv6Addr;
 
 RescanScheduler::History& RescanScheduler::entry(const Ipv6Addr& addr) {
-  V6_REQUIRE_MSG(entries_.size() < std::numeric_limits<std::uint32_t>::max(),
-                 "entry positions must fit the index's 32-bit values");
   const auto [pos, inserted] =
-      index_.emplace(addr, static_cast<std::uint32_t>(entries_.size()));
+      index_.insert(addr, entries_.size(), entry_key());
   if (inserted) entries_.push_back({.addr = addr, .history = {}});
   return entries_[pos].history;
 }
 
 void RescanScheduler::track(const Ipv6Addr& addr) { entry(addr); }
+
+bool RescanScheduler::contains(const Ipv6Addr& addr) const {
+  return index_.contains(addr, entry_key());
+}
 
 void RescanScheduler::note_result(const Ipv6Addr& addr, bool responsive,
                                   std::uint64_t cycle) {
@@ -84,12 +85,12 @@ std::size_t RescanScheduler::evict_churned() {
            e.history.miss_streak >= policy_.max_miss_streak;
   });
   sorted_ = entries_.size();
-  // AddrIndexMap cannot erase: when anything moved, refill the table
+  // The index cannot erase: when anything moved, refill the table
   // (clear() keeps its slots) with the compacted positions.
   if (had_tail || evicted > 0) {
     index_.clear();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      index_.insert(entries_[i].addr, static_cast<std::uint32_t>(i));
+      index_.insert(entries_[i].addr, i, entry_key());
     }
   }
   return evicted;

@@ -6,15 +6,17 @@
 // each refresh cycle, which known addresses are due a rescan and which
 // have churned out (miss streak past the eviction threshold).
 //
-// Layout: one flat vector of {address, history} entries plus an
-// AddrIndexMap from address to position, so track(), note_result() and
-// contains() are one table probe each. The vector's prefix is sorted by
-// address; its tail holds the addresses tracked or discovered since the
-// last eviction, in insertion order. due() and responsive() are one pass
-// over the vector: the prefix's matches come out sorted, the tail's are
-// sorted and merged in. evict_churned() sorts the tail, merges it into
-// the prefix, drops the churned entries and rebuilds the index, so after
-// it the whole vector is sorted again.
+// Layout: one flat vector of {address, history} entries plus a
+// net::AddrIndex from address to position, so track(), note_result() and
+// contains() are one table probe each. The index stores 8 bytes per slot
+// and reads an address back from its entry, so no address is kept
+// twice. The vector's prefix is sorted by address; its tail holds the
+// addresses tracked or discovered since the last eviction, in insertion
+// order. due() and responsive() are one pass over the vector: the
+// prefix's matches come out sorted, the tail's are sorted and merged
+// in. evict_churned() sorts the tail, merges it into the prefix, drops
+// the churned entries and rebuilds the index, so after it the whole
+// vector is sorted again.
 //
 // Determinism: addresses are unique, so sorted address order is a total
 // order that does not depend on when an address arrived. Every output is
@@ -81,9 +83,7 @@ class RescanScheduler {
   std::size_t tracked() const { return entries_.size(); }
 
   /// Whether `addr` already has a history entry.
-  bool contains(const v6::net::Ipv6Addr& addr) const {
-    return index_.contains(addr);
-  }
+  bool contains(const v6::net::Ipv6Addr& addr) const;
 
  private:
   struct History {
@@ -100,6 +100,13 @@ class RescanScheduler {
   /// The history of `addr`, appended to the unsorted tail if new.
   History& entry(const v6::net::Ipv6Addr& addr);
 
+  /// index_'s key accessor: the address of entries_[pos].
+  auto entry_key() const {
+    return [this](std::uint32_t pos) -> const v6::net::Ipv6Addr& {
+      return entries_[pos].addr;
+    };
+  }
+
   /// The addresses of the entries matching `pred`, in sorted order.
   template <typename Pred>
   std::vector<v6::net::Ipv6Addr> sorted_matches(Pred pred) const;
@@ -109,7 +116,7 @@ class RescanScheduler {
   std::vector<Entry> entries_;
   std::size_t sorted_ = 0;
   /// addr -> its position in entries_; evict_churned() rebuilds it.
-  v6::net::AddrIndexMap index_;
+  v6::net::AddrIndex index_;
 };
 
 class BanditAllocator {

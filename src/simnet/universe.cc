@@ -46,15 +46,15 @@ std::uint64_t Universe::rtt_nanos(const Ipv6Addr& addr) {
 
 const HostRecord* Universe::host(const Ipv6Addr& addr) const {
   V6_REQUIRE(!procedural_);
-  const std::uint32_t* idx = host_index_.find(addr);
-  return idx == nullptr ? nullptr : &hosts_[*idx];
+  const std::optional<std::uint32_t> pos = host_index_.find(addr, host_key());
+  return pos.has_value() ? &hosts_[*pos] : nullptr;
 }
 
 bool Universe::lookup_host(const Ipv6Addr& addr, HostRecord& out) const {
   if (procedural_) return model_.lookup(config_, addr, out);
-  const std::uint32_t* idx = host_index_.find(addr);
-  if (idx == nullptr) return false;
-  out = hosts_[*idx];
+  const std::optional<std::uint32_t> pos = host_index_.find(addr, host_key());
+  if (!pos.has_value()) return false;
+  out = hosts_[*pos];
   return true;
 }
 

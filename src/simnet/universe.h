@@ -3,14 +3,17 @@
 // A Universe holds every aliased region, the dense AS12322-analogue
 // region, the AS database and routing table — and its host population in
 // one of two representations. A *materialized* universe (the legacy
-// default) stores every synthesized HostRecord behind a flat AddrIndexMap;
-// a *procedural* universe (UniverseConfig::procedural) stores only one
-// PrefixPlan per announced /32 and rederives any host on demand from
-// (seed, address) via src/simnet/site_model.h, so memory scales with the
-// routing table instead of the host count (docs/SCALE.md). Either way it
-// answers probes with wire-level replies (including rate-limiting and
-// background ICMP errors) and exposes ground-truth queries used only by
-// evaluation code (never by TGAs or the scanner themselves).
+// default) stores every synthesized HostRecord in one array, indexed by
+// a net::AddrIndex whose 8-byte {tag, position} slots read each address
+// from the record itself (an 8 MiB table for the Workbench's 401,386
+// hosts); a *procedural* universe (UniverseConfig::procedural) stores
+// only one PrefixPlan per announced /32 and rederives any host on demand
+// from (seed, address) via src/simnet/site_model.h, so memory scales
+// with the routing table instead of the host count (docs/SCALE.md).
+// Either way it answers probes with wire-level replies (including
+// rate-limiting and background ICMP errors) and exposes ground-truth
+// queries used only by evaluation code (never by TGAs or the scanner
+// themselves).
 //
 // Host-population access goes through lookup_host() (one address) and
 // for_each_host() (ordered streaming enumeration); the materialized
@@ -19,10 +22,10 @@
 // outside simnet from reaching for it.
 //
 // prefetch() hints the cache to load the host-index slot a probe of an
-// address will read first. A scan loop issues it some probes ahead of
-// probe() (StreamScanner's lookahead walk), so the table's cache misses
-// overlap instead of paying their latency one after another. It changes
-// no reply.
+// address will read first (a miss reads nothing else of the table). A
+// scan loop issues it some probes ahead of probe() (StreamScanner's
+// lookahead walk), so the table's cache misses overlap instead of
+// paying their latency one after another. It changes no reply.
 #pragma once
 
 #include <array>
@@ -199,13 +202,28 @@ class Universe {
   };
   const CountCache& counts() const;
 
+  /// host_index_'s key accessor: the address of hosts_[pos].
+  auto host_key() const {
+    return [this](std::uint32_t pos) -> const v6::net::Ipv6Addr& {
+      return hosts_[pos].addr;
+    };
+  }
+
+  /// Appends `rec` and indexes it, unless a host already sits at its
+  /// address.
+  void add_host(const HostRecord& rec) {
+    if (host_index_.insert(rec.addr, hosts_.size(), host_key()).second) {
+      hosts_.push_back(rec);
+    }
+  }
+
   UniverseConfig config_;
   v6::asdb::AsDatabase asdb_;
   v6::asdb::RoutingTable routes_;
   std::vector<HostRecord> hosts_;
-  /// Flat open-addressing table: one find() per probe packet makes this
-  /// the hottest lookup in the materialized simulator.
-  v6::net::AddrIndexMap host_index_;
+  /// addr -> its position in hosts_. One find() per probe packet makes
+  /// this the hottest lookup in the materialized simulator.
+  v6::net::AddrIndex host_index_;
   /// Procedural twin of (hosts_, host_index_): per-/32 plans + LPM trie.
   bool procedural_ = false;
   ProceduralModel model_;

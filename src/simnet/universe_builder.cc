@@ -180,10 +180,7 @@ Universe UniverseBuilder::build_legacy(const UniverseConfig& config) {
           rec.rate_limited =
               config.host_rate_limited_fraction > 0.0 &&
               v6::net::chance(host_rng, config.host_rate_limited_fraction);
-          if (u.host_index_.insert(
-                  rec.addr, static_cast<std::uint32_t>(u.hosts_.size()))) {
-            u.hosts_.push_back(rec);
-          }
+          u.add_host(rec);
         }
       }
 
@@ -249,10 +246,7 @@ Universe UniverseBuilder::build_legacy(const UniverseConfig& config) {
             rec.rate_limited =
                 config.host_rate_limited_fraction > 0.0 &&
                 v6::net::chance(host_rng, config.host_rate_limited_fraction);
-            if (u.host_index_.insert(
-                    rec.addr, static_cast<std::uint32_t>(u.hosts_.size()))) {
-              u.hosts_.push_back(rec);
-            }
+            u.add_host(rec);
             ++placed;
           }
         }
@@ -363,12 +357,8 @@ Universe UniverseBuilder::build_v2(const UniverseConfig& config,
   }
 
   if (materialize_hosts) {
-    u.model_.for_each_host(config, [&u](const HostRecord& rec) {
-      if (u.host_index_.insert(rec.addr,
-                               static_cast<std::uint32_t>(u.hosts_.size()))) {
-        u.hosts_.push_back(rec);
-      }
-    });
+    u.model_.for_each_host(config,
+                           [&u](const HostRecord& rec) { u.add_host(rec); });
   } else {
     u.counts_ = std::make_unique<Universe::CountCache>();
   }
@@ -431,12 +421,7 @@ void UniverseBuilder::age(Universe& u, const AgingConfig& config) {
     }
   }
 
-  for (const HostRecord& born : births) {
-    if (u.host_index_.insert(born.addr,
-                             static_cast<std::uint32_t>(u.hosts_.size()))) {
-      u.hosts_.push_back(born);
-    }
-  }
+  for (const HostRecord& born : births) u.add_host(born);
 }
 
 }  // namespace v6::simnet

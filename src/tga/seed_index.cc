@@ -8,14 +8,20 @@ using v6::net::Ipv6Addr;
 
 SeedIndex::SeedIndex(std::span<const Ipv6Addr> seeds)
     : seeds_(seeds), borrowed_(true) {
-  members_.reserve(seeds.size());
-  for (const Ipv6Addr& s : seeds) members_.insert(s, 0);
+  index_seeds();
 }
 
 SeedIndex::SeedIndex(std::vector<Ipv6Addr>&& seeds)
     : owned_(std::move(seeds)), seeds_(owned_) {
-  members_.reserve(owned_.size());
-  for (const Ipv6Addr& s : owned_) members_.insert(s, 0);
+  index_seeds();
+}
+
+void SeedIndex::index_seeds() {
+  members_.clear();
+  members_.reserve(seeds_.size(), v6::net::key_in(seeds_));
+  for (std::size_t i = 0; i < seeds_.size(); ++i) {
+    members_.insert(seeds_[i], i, v6::net::key_in(seeds_));
+  }
 }
 
 const SpaceTree& SeedIndex::tree(const SpaceTree::Options& options) const {
@@ -59,7 +65,9 @@ std::size_t SeedIndex::add(std::span<const Ipv6Addr> added) {
   begin_change();
   const std::size_t before = owned_.size();
   for (const Ipv6Addr& addr : added) {
-    if (members_.insert(addr, 0)) owned_.push_back(addr);
+    if (members_.insert(addr, owned_.size(), v6::net::key_in(owned_)).second) {
+      owned_.push_back(addr);
+    }
   }
   seeds_ = owned_;
   return owned_.size() - before;
@@ -76,9 +84,8 @@ bool SeedIndex::remove(std::span<const Ipv6Addr> removed) {
     return doomed.contains(addr);
   });
   // The table cannot erase: rebuild it over what is left.
-  members_.clear();
-  for (const Ipv6Addr& s : owned_) members_.insert(s, 0);
   seeds_ = owned_;
+  index_seeds();
   return true;
 }
 

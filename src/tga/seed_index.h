@@ -51,7 +51,7 @@ class SeedIndex {
   std::span<const v6::net::Ipv6Addr> seeds() const { return seeds_; }
 
   bool contains(const v6::net::Ipv6Addr& addr) const {
-    return members_.contains(addr);
+    return members_.contains(addr, v6::net::key_in(seeds_));
   }
 
   /// The space tree over seeds() with `options`, built on first request.
@@ -83,12 +83,14 @@ class SeedIndex {
 
   /// Makes the index own its seeds, then drops the cached trees.
   void begin_change();
+  /// Refills members_ from seeds_.
+  void index_seeds();
 
   std::vector<v6::net::Ipv6Addr> owned_;
   std::span<const v6::net::Ipv6Addr> seeds_;
   bool borrowed_ = false;
-  // A flat set: the mapped index is unused.
-  v6::net::AddrIndexMap members_;
+  /// Each distinct seed -> its first position in seeds_.
+  v6::net::AddrIndex members_;
 
   mutable std::mutex trees_mutex_;  // guards the list, not the builds
   mutable std::vector<std::unique_ptr<CachedTree>> trees_;
