@@ -20,9 +20,12 @@
 //   * lookup(addr) agrees with a binary search of the settled
 //     snapshot's sorted addresses (the oracle for the epoch's index).
 //
-// A full (non --smoke) run asserts both configurations clear 1M
+// A full (non --smoke) run asserts both configurations clear 8M
 // lookups/second — the service must stay queryable at line rate while
-// it refreshes.
+// it refreshes. On a 4-core host both read 32–40M/s; the same loop
+// doing 10 lookups per counted one reads 2–3M/s and fails, and doing 2
+// reads 14–16M/s and passes, so a 10× slower lookup fails the gate and
+// a 2× slower host does not.
 //
 // Usage: bench_serve [lookups] [--jobs N] [--repeat N] [--smoke]
 // The positional budget is reinterpreted as lookups per timed pass.
@@ -60,8 +63,13 @@ double seconds_since(Clock::time_point start) {
   std::exit(1);
 }
 
+/// Queries per pass, cycled: as many as perfbench's serve reader uses,
+/// so the epoch's slots and keys do not all sit in L1/L2 and a slower
+/// lookup shows in the rate.
+constexpr std::size_t kQueries = 1 << 16;
+
 /// Deterministic query mix over one settled epoch: alternating present
-/// addresses (drawn pseudo-randomly from the epoch) and near-certain
+/// addresses (drawn pseudo-randomly across the epoch) and near-certain
 /// misses (present addresses with flipped interface-identifier bits).
 std::vector<Ipv6Addr> make_queries(const v6::service::HitlistEpoch& epoch,
                                    std::size_t count) {
@@ -181,7 +189,7 @@ int main(int argc, char** argv) {
   timer.record_phase("setup", seconds_since(setup_start));
 
   const std::vector<Ipv6Addr> queries =
-      make_queries(service.snapshot(), 4096);
+      make_queries(service.snapshot(), kQueries);
 
   // --- Solo lookups -------------------------------------------------------
   std::vector<double> solo_samples;
@@ -256,18 +264,18 @@ int main(int argc, char** argv) {
 
   // Perf gate: the facade must stay queryable at line rate, refresh or
   // not. Smoke runs keep only the correctness checks above.
-  constexpr double kMinLookupsPerSecond = 1e6;
+  constexpr double kMinLookupsPerSecond = 8e6;
   if (!args.smoke) {
     if (solo_rate < kMinLookupsPerSecond) {
       timer.write();
-      fail("solo lookup rate below 1M/s: " + std::to_string(solo_rate));
+      fail("solo lookup rate below 8M/s: " + std::to_string(solo_rate));
     }
     if (concurrent_rate < kMinLookupsPerSecond) {
       timer.write();
-      fail("concurrent lookup rate below 1M/s: " +
+      fail("concurrent lookup rate below 8M/s: " +
            std::to_string(concurrent_rate));
     }
-    std::cerr << "perf gate: OK (limit 1M lookups/s)\n";
+    std::cerr << "perf gate: OK (limit 8M lookups/s)\n";
   } else {
     std::cerr << "perf gate skipped (--smoke)\n";
   }

@@ -65,8 +65,8 @@ const std::vector<Ipv6Addr>& Workbench::dealiased(
     v6::probe::SimTransport transport(universe_, config_.seed + 1);
     v6::dealias::OnlineDealiaser online(transport, config_.seed + 1);
     v6::dealias::Dealiaser dealiaser(mode, &alias_list_, &online);
-    dealiased_[slot] =
-        v6::seeds::dealias_seeds(full_, dealiaser, ProbeType::kIcmp);
+    // The paper dealiases seed datasets with ICMP-based probing.
+    dealiased_[slot] = dealiaser.filter(full_, ProbeType::kIcmp);
   });
   return *dealiased_[slot];
 }

@@ -9,6 +9,38 @@ using v6::net::Ipv6Addr;
 using v6::net::ProbeReply;
 using v6::net::ProbeType;
 
+void ScanStats::publish(v6::obs::Registry& registry) const {
+  registry.counter("scanner.targets").add(targets);
+  registry.counter("scanner.deduped").add(deduped);
+  registry.counter("scanner.blocked").add(blocked);
+  registry.counter("scanner.probed").add(probed);
+  registry.counter("scanner.packets").add(packets);
+  registry.counter("scanner.hits").add(hits);
+  registry.counter("scanner.timeouts").add(timeouts);
+  // Robust-path counters appear only when the path actually fired, so
+  // legacy (no-fault) reports keep their exact counter set.
+  if (retransmissions != 0) {
+    registry.counter("scanner.retransmissions").add(retransmissions);
+  }
+  if (backoffs != 0) registry.counter("scanner.backoffs").add(backoffs);
+  // Per-batch distributions, both on the virtual clock (deterministic
+  // across jobs counts — see docs/OBSERVABILITY.md).
+  registry.histogram("scanner.batch.targets")
+      .record(static_cast<double>(targets));
+  registry.histogram("scanner.batch.virtual_seconds").record(virtual_seconds);
+}
+
+std::vector<v6::obs::Counter*> retry_counters(v6::obs::Telemetry* telemetry,
+                                              int max_retries) {
+  std::vector<v6::obs::Counter*> counters;
+  if (telemetry == nullptr) return counters;
+  for (int k = 1; k <= max_retries; ++k) {
+    counters.push_back(
+        &telemetry->registry().counter("scanner.retry." + std::to_string(k)));
+  }
+  return counters;
+}
+
 Scanner::Scanner(ProbeTransport& transport, const Blocklist* blocklist,
                  ScanOptions options)
     : transport_(&transport),
@@ -16,16 +48,8 @@ Scanner::Scanner(ProbeTransport& transport, const Blocklist* blocklist,
       options_(options),
       limiter_(options.max_pps),
       shuffle_rng_(v6::net::make_rng(options.seed, /*tag=*/0x5CA4)),
-      jitter_rng_(v6::net::make_rng(options.seed, /*tag=*/0xBACC0F)) {
-  if (options_.telemetry != nullptr && options_.max_retries > 0) {
-    v6::obs::Registry& registry = options_.telemetry->registry();
-    retry_counters_.reserve(static_cast<std::size_t>(options_.max_retries));
-    for (int k = 1; k <= options_.max_retries; ++k) {
-      retry_counters_.push_back(
-          &registry.counter("scanner.retry." + std::to_string(k)));
-    }
-  }
-}
+      jitter_rng_(v6::net::make_rng(options.seed, /*tag=*/0xBACC0F)),
+      retry_counters_(retry_counters(options.telemetry, options.max_retries)) {}
 
 void Scanner::wait(double seconds) {
   // Waiting is always virtual: the limiter's clock and the transport
@@ -36,7 +60,7 @@ void Scanner::wait(double seconds) {
 }
 
 ProbeReply Scanner::probe_with_retries(const Ipv6Addr& addr, ProbeType type,
-                                       ScanStats* stats) {
+                                       ScanStats& stats) {
   ProbeReply reply = ProbeReply::kTimeout;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     // Everything below the first send sits on the retry path only, which
@@ -46,7 +70,7 @@ ProbeReply Scanner::probe_with_retries(const Ipv6Addr& addr, ProbeType type,
       if (!retry_counters_.empty()) {
         retry_counters_[static_cast<std::size_t>(attempt - 1)]->inc();
       }
-      if (stats != nullptr) ++stats->retransmissions;
+      ++stats.retransmissions;
       if (options_.retry_backoff_s > 0.0) {
         // Exponential backoff: 1x, 2x, 4x, ... the base (exponent capped
         // so absurd retry counts cannot overflow the shift), optionally
@@ -59,10 +83,8 @@ ProbeReply Scanner::probe_with_retries(const Ipv6Addr& addr, ProbeType type,
                                (2.0 * v6::net::uniform01(jitter_rng_) - 1.0);
         }
         wait(backoff);
-        if (stats != nullptr) {
-          ++stats->backoffs;
-          stats->backoff_seconds += backoff;
-        }
+        ++stats.backoffs;
+        stats.backoff_seconds += backoff;
       }
     }
     limiter_.acquire();
@@ -75,7 +97,7 @@ ProbeReply Scanner::probe_with_retries(const Ipv6Addr& addr, ProbeType type,
 }
 
 void Scanner::note_reply(const Ipv6Addr& addr, ProbeReply reply,
-                         ScanStats* stats) {
+                         ScanStats& stats) {
   if (options_.adaptive_threshold <= 0) return;
   int& streak = timeout_streaks_[addr.masked(options_.adaptive_prefix_len)];
   if (reply != ProbeReply::kTimeout) {
@@ -86,20 +108,10 @@ void Scanner::note_reply(const Ipv6Addr& addr, ProbeReply reply,
     // The prefix looks rate-limited (a run of silent probes): cool down
     // so its token bucket refills before we spend more packets there.
     wait(options_.adaptive_backoff_s);
-    if (stats != nullptr) {
-      ++stats->backoffs;
-      stats->backoff_seconds += options_.adaptive_backoff_s;
-    }
+    ++stats.backoffs;
+    stats.backoff_seconds += options_.adaptive_backoff_s;
     streak = 0;
   }
-}
-
-std::optional<ProbeReply> Scanner::probe_one(const Ipv6Addr& addr,
-                                             ProbeType type) {
-  if (blocklist_ != nullptr && blocklist_->blocked(addr)) {
-    return std::nullopt;  // blocked, not timed out: no packet was sent
-  }
-  return probe_with_retries(addr, type, nullptr);
 }
 
 ScanStats Scanner::scan(std::span<const Ipv6Addr> targets, ProbeType type,
@@ -138,55 +150,17 @@ ScanStats Scanner::scan(std::span<const Ipv6Addr> targets, ProbeType type,
       ++stats.blocked;
       continue;
     }
-    const ProbeReply reply = probe_with_retries(addr, type, &stats);
-    note_reply(addr, reply, &stats);
-    ++stats.probed;
-    switch (reply) {
-      case ProbeReply::kTimeout:
-        ++stats.timeouts;
-        break;
-      case ProbeReply::kRst:
-        ++stats.rsts;
-        break;
-      case ProbeReply::kDestUnreachable:
-        ++stats.unreachables;
-        break;
-      default:
-        if (v6::net::is_hit(type, reply)) {
-          ++stats.hits;
-        }
-        break;
-    }
+    const ProbeReply reply = probe_with_retries(addr, type, stats);
+    note_reply(addr, reply, stats);
+    stats.tally(type, reply);
     if (on_reply) on_reply(addr, reply);
   }
 
   stats.packets = transport_->packets_sent() - packets_before;
   stats.virtual_seconds = limiter_.virtual_now() - vtime_before;
 
-  // Bulk-accumulate per-scan counters once per batch (never per packet).
   if (options_.telemetry != nullptr) {
-    v6::obs::Registry& registry = options_.telemetry->registry();
-    registry.counter("scanner.targets").add(stats.targets);
-    registry.counter("scanner.deduped").add(stats.deduped);
-    registry.counter("scanner.blocked").add(stats.blocked);
-    registry.counter("scanner.probed").add(stats.probed);
-    registry.counter("scanner.packets").add(stats.packets);
-    registry.counter("scanner.hits").add(stats.hits);
-    registry.counter("scanner.timeouts").add(stats.timeouts);
-    // Robust-path counters appear only when the path actually fired, so
-    // legacy (no-fault) reports keep their exact counter set.
-    if (stats.retransmissions != 0) {
-      registry.counter("scanner.retransmissions").add(stats.retransmissions);
-    }
-    if (stats.backoffs != 0) {
-      registry.counter("scanner.backoffs").add(stats.backoffs);
-    }
-    // Per-batch distributions, both on the virtual clock (deterministic
-    // across jobs counts — see docs/OBSERVABILITY.md).
-    registry.histogram("scanner.batch.targets")
-        .record(static_cast<double>(stats.targets));
-    registry.histogram("scanner.batch.virtual_seconds")
-        .record(stats.virtual_seconds);
+    stats.publish(options_.telemetry->registry());
   }
   return stats;
 }

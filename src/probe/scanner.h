@@ -8,11 +8,14 @@
 // Dedup copies each target's first occurrence into a uniquified list and
 // indexes positions in that list (net::AddrIndex, 8-byte slots), so no
 // address is stored twice.
+//
+// StreamScanner (stream_scanner.h) shares ScanStats::tally,
+// ScanStats::publish and retry_counters() with it; the engines differ
+// in probe order, wire, pacing clock and jitter draw.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -108,7 +111,27 @@ struct ScanStats {
   std::uint64_t retransmissions = 0;  // retry packets actually sent
   std::uint64_t backoffs = 0;         // backoff waits taken (retry + adaptive)
   double backoff_seconds = 0.0;       // virtual time spent in those waits
+
+  /// Counts one probed address by its final reply on `type`.
+  void tally(v6::net::ProbeType type, v6::net::ProbeReply reply) {
+    using v6::net::ProbeReply;
+    ++probed;
+    timeouts += reply == ProbeReply::kTimeout ? 1 : 0;
+    rsts += reply == ProbeReply::kRst ? 1 : 0;
+    unreachables += reply == ProbeReply::kDestUnreachable ? 1 : 0;
+    hits += v6::net::is_hit(type, reply) ? 1 : 0;
+  }
+
+  /// Adds a finished scan to `registry`'s `scanner.*` counters and its
+  /// per-batch histograms (once per scan, never per packet).
+  void publish(v6::obs::Registry& registry) const;
 };
+
+/// The `scanner.retry.<k>` counters of `telemetry`, k = 1..max_retries:
+/// element k-1 counts addresses that needed a k-th retransmission.
+/// Empty when `telemetry` is null.
+std::vector<v6::obs::Counter*> retry_counters(v6::obs::Telemetry* telemetry,
+                                              int max_retries);
 
 /// What a hit-collecting scan returns: the positive responders plus the
 /// full statistics of the pass that found them.
@@ -140,12 +163,6 @@ class Scanner {
   ScanResult scan_hits(std::span<const v6::net::Ipv6Addr> targets,
                        v6::net::ProbeType type);
 
-  /// Probes a single address with retries. Returns std::nullopt when the
-  /// address is blocklisted (no packet sent) — distinct from a timeout,
-  /// which means the address was probed and never answered.
-  std::optional<v6::net::ProbeReply> probe_one(const v6::net::Ipv6Addr& addr,
-                                               v6::net::ProbeType type);
-
   /// Cumulative virtual wire time across all scans by this scanner.
   double virtual_seconds() const { return limiter_.virtual_now(); }
 
@@ -153,10 +170,10 @@ class Scanner {
   /// The shared send loop: rate-limited transmissions until a non-timeout
   /// reply or retries are exhausted, with optional timeout waits and
   /// exponential backoff between attempts. Does NOT consult the
-  /// blocklist. `stats` may be null (probe_one path).
+  /// blocklist.
   v6::net::ProbeReply probe_with_retries(const v6::net::Ipv6Addr& addr,
                                          v6::net::ProbeType type,
-                                         ScanStats* stats);
+                                         ScanStats& stats);
 
   /// Lets `seconds` of virtual time pass: advances the pacing limiter
   /// and the transport chain (fault-plane buckets refill). Never sleeps.
@@ -165,7 +182,7 @@ class Scanner {
   /// Feeds the adaptive-backoff streak tracker with `addr`'s final
   /// classified reply; may take a cool-down wait.
   void note_reply(const v6::net::Ipv6Addr& addr, v6::net::ProbeReply reply,
-                  ScanStats* stats);
+                  ScanStats& stats);
 
   ProbeTransport* transport_;
   const Blocklist* blocklist_;
@@ -180,9 +197,8 @@ class Scanner {
   /// only populated when adaptive_threshold > 0.
   std::unordered_map<v6::net::Ipv6Addr, int, v6::net::Ipv6AddrHash>
       timeout_streaks_;
-  /// Retry histogram counters (`scanner.retry.<k>`), resolved once when
-  /// telemetry is attached; empty otherwise. retry_counters_[k-1] counts
-  /// addresses that needed a k-th retransmission.
+  /// retry_counters(options.telemetry, options.max_retries), resolved
+  /// once at construction.
   std::vector<v6::obs::Counter*> retry_counters_;
   /// Per-scan dedup scratch, reused across batches so the hot loop does
   /// not reallocate its table every call: address -> its position in

@@ -91,9 +91,9 @@ struct StreamScanner::Lane {
   /// 0 = blocked, otherwise 1 + the reply (multi-shard scans only).
   std::vector<std::uint8_t> outcomes;
 
-  // Per-scan tallies, reset by scan() before the workers start.
+  // Per-scan tallies, reset by scan() before the workers start. Probed
+  // targets are counted where their replies are classified.
   std::uint64_t blocked = 0;
-  std::uint64_t probed = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t backoffs = 0;
   std::uint64_t backoff_nanos = 0;
@@ -199,16 +199,8 @@ StreamScanner::StreamScanner(const v6::simnet::Universe& universe,
   for (unsigned s = 0; s < options_.shards; ++s) {
     lanes_.push_back(std::make_unique<Lane>(*universe_, options_, s));
   }
-  v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
-  if (telemetry != nullptr && options_.scan.max_retries > 0) {
-    v6::obs::Registry& registry = telemetry->registry();
-    retry_counters_.reserve(
-        static_cast<std::size_t>(options_.scan.max_retries));
-    for (int k = 1; k <= options_.scan.max_retries; ++k) {
-      retry_counters_.push_back(
-          &registry.counter("scanner.retry." + std::to_string(k)));
-    }
-  }
+  retry_counters_ =
+      retry_counters(options_.scan.telemetry, options_.scan.max_retries);
 }
 
 StreamScanner::~StreamScanner() { flush_telemetry(); }
@@ -323,7 +315,6 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     lane->wire.reset();
     lane->blocked = 0;
-    lane->probed = 0;
     lane->retransmissions = 0;
     lane->backoffs = 0;
     lane->backoff_nanos = 0;
@@ -345,54 +336,54 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
 
   // Classification fold: the only step that touches ScanStats and the
   // caller's callback. Runs on the caller thread in canonical
-  // (cycle-position) order for every shard count.
-  auto classify = [&](const Ipv6Addr& addr, ProbeReply reply) {
-    switch (reply) {
-      case ProbeReply::kTimeout:
-        ++stats.timeouts;
-        break;
-      case ProbeReply::kRst:
-        ++stats.rsts;
-        break;
-      case ProbeReply::kDestUnreachable:
-        ++stats.unreachables;
-        break;
-      default:
-        if (v6::net::is_hit(type, reply)) ++stats.hits;
-        break;
-    }
+  // (cycle-position) order for every shard count. `outcome` is a kept
+  // target's byte: 0 when the blocklist dropped it, else 1 + the reply.
+  auto classify = [&](const Ipv6Addr& addr, std::uint8_t outcome) {
+    if (outcome == 0) return;
+    const auto reply = static_cast<ProbeReply>(outcome - 1);
+    stats.tally(type, reply);
     if (on_reply) on_reply(addr, reply);
   };
 
-  if (num_shards == 1) {
-    // One shard: walk, probe and classify fuse into a single loop on the
-    // caller thread. The walk already emits in canonical pos order, so
-    // there is nothing to keep or merge. bench_throughput's single-core
-    // gate holds this loop to the batch engine's per-probe cost, and the
-    // multi-shard merge must stay bit-identical to it
-    // (stream_scanner_test compares the two).
-    Lane& lane = *lanes_[0];
-    v6::obs::ArmedStage stage(
-        watchdog != nullptr ? &watchdog->stage("stream.scan") : nullptr);
-    LookaheadWalk walk = make_walk(0, 1, universe_);
+  // The one probe loop: walks shard `s` of `count` on lane s, skips
+  // duplicates, and hands each kept target's outcome byte to
+  // `on_outcome`. The shard count decides only what that does.
+  auto probe_slice = [&](unsigned s, unsigned count,
+                         v6::obs::Heartbeat* heartbeat, auto&& on_outcome) {
+    Lane& lane = *lanes_[s];
+    v6::obs::ArmedStage stage(heartbeat);
+    LookaheadWalk walk = make_walk(s, count, universe_);
     ShardItem item;
     while (walk.next(&item)) {
       if (keep_[item.index] == 0) continue;
       const Ipv6Addr& addr = targets[item.index];
       if (blocklist_ != nullptr && blocklist_->blocked(addr)) {
         ++lane.blocked;
+        on_outcome(addr, std::uint8_t{0});
         continue;
       }
       const ProbeReply reply = lane_probe(lane, addr, type);
       note_reply(lane, addr, reply);
-      ++lane.probed;
-      classify(addr, reply);
+      on_outcome(addr, static_cast<std::uint8_t>(1 + static_cast<int>(reply)));
       stage.beat();
     }
+  };
+
+  if (num_shards == 1) {
+    // One shard classifies each outcome at once, on the caller thread:
+    // the walk already emits in canonical pos order, so there is nothing
+    // to keep or merge. bench_throughput's single-core gate holds this
+    // path to the batch engine's per-probe cost, and the multi-shard
+    // merge must stay bit-identical to it (stream_scanner_test compares
+    // the two).
+    probe_slice(0, 1,
+                watchdog != nullptr ? &watchdog->stage("stream.scan") : nullptr,
+                classify);
   } else {
     // Each shard walks its own slice of the cycle on its own lane and
-    // keeps one byte per kept target: 0 when the blocklist drops it,
-    // otherwise 1 + the reply. Nothing crosses a thread until join().
+    // appends each outcome to the lane's own bytes, so shards never
+    // write each other's cache lines. Nothing crosses a thread until
+    // join().
     std::vector<v6::obs::Heartbeat*> prober_hbs(num_shards, nullptr);
     if (watchdog != nullptr) {
       for (unsigned s = 0; s < num_shards; ++s) {
@@ -423,27 +414,12 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
           });
     }
     for (unsigned s = 0; s < num_shards; ++s) {
-      workers.spawn([this, s, num_shards, targets, type, &make_walk,
-                     &prober_hbs]() {
-        Lane& lane = *lanes_[s];
-        v6::obs::ArmedStage stage(prober_hbs[s]);
-        LookaheadWalk walk = make_walk(s, num_shards, universe_);
-        ShardItem item;
-        while (walk.next(&item)) {
-          if (keep_[item.index] == 0) continue;
-          const Ipv6Addr& addr = targets[item.index];
-          if (blocklist_ != nullptr && blocklist_->blocked(addr)) {
-            ++lane.blocked;
-            lane.outcomes.push_back(0);
-            continue;
-          }
-          const ProbeReply reply = lane_probe(lane, addr, type);
-          note_reply(lane, addr, reply);
-          ++lane.probed;
-          lane.outcomes.push_back(
-              static_cast<std::uint8_t>(1 + static_cast<int>(reply)));
-          stage.beat();
-        }
+      workers.spawn([this, s, num_shards, &probe_slice, &prober_hbs]() {
+        std::vector<std::uint8_t>& outcomes = lanes_[s]->outcomes;
+        probe_slice(s, num_shards, prober_hbs[s],
+                    [&outcomes](const Ipv6Addr&, std::uint8_t outcome) {
+                      outcomes.push_back(outcome);
+                    });
       });
     }
     workers.join();  // all joined; rethrows the first shard's failure
@@ -462,10 +438,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
       const std::vector<std::uint8_t>& outcomes = lanes_[s]->outcomes;
       V6_INVARIANT_MSG(cursors[s] < outcomes.size(),
                        "a shard kept fewer outcomes than its slice");
-      const std::uint8_t outcome = outcomes[cursors[s]++];
-      if (outcome != 0) {
-        classify(targets[item.index], static_cast<ProbeReply>(outcome - 1));
-      }
+      classify(targets[item.index], outcomes[cursors[s]++]);
     }
     for (unsigned s = 0; s < num_shards; ++s) {
       V6_ENSURE_MSG(cursors[s] == lanes_[s]->outcomes.size(),
@@ -478,7 +451,6 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   std::uint64_t backoff_nanos = 0;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     stats.blocked += lane->blocked;
-    stats.probed += lane->probed;
     stats.retransmissions += lane->retransmissions;
     stats.backoffs += lane->backoffs;
     stats.packets += lane->transport->packets_sent() - lane->packets_before;
@@ -502,23 +474,7 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
   if (telemetry != nullptr) {
     v6::obs::Registry& registry = telemetry->registry();
-    registry.counter("scanner.targets").add(stats.targets);
-    registry.counter("scanner.deduped").add(stats.deduped);
-    registry.counter("scanner.blocked").add(stats.blocked);
-    registry.counter("scanner.probed").add(stats.probed);
-    registry.counter("scanner.packets").add(stats.packets);
-    registry.counter("scanner.hits").add(stats.hits);
-    registry.counter("scanner.timeouts").add(stats.timeouts);
-    if (stats.retransmissions != 0) {
-      registry.counter("scanner.retransmissions").add(stats.retransmissions);
-    }
-    if (stats.backoffs != 0) {
-      registry.counter("scanner.backoffs").add(stats.backoffs);
-    }
-    registry.histogram("scanner.batch.targets")
-        .record(static_cast<double>(stats.targets));
-    registry.histogram("scanner.batch.virtual_seconds")
-        .record(stats.virtual_seconds);
+    stats.publish(registry);
     // The scan's wall duration (docs/OBSERVABILITY.md "Live
     // introspection"): scheduling-dependent, hence the `.wall` suffix —
     // the equivalence suites exempt it from the shard/jobs bit-identity

@@ -19,15 +19,16 @@
 // take a 32 MiB table), and it reads a target back only where a slot's
 // tag matches, so a new address costs one slot probe.
 //
-// With shards == 1 the walk, probe, and classification fuse into one
-// loop on the calling thread — no worker thread, no kept bytes — and the
-// multi-shard merge is required to stay bit-identical to it.
+// Every shard count runs one probe loop, scan()'s slice loop; only what
+// it does with a kept target's outcome differs. With shards == 1 it runs
+// on the calling thread and classifies each outcome at once (the fused
+// loop), and the multi-shard merge must stay bit-identical to it.
 // bench/bench_throughput.cpp compares its per-probe cost with the batch
 // Scanner's and gates it at 1.05× on single-core hosts; docs/SCANNER.md
 // records the measured ratios, which are above 1 at every size.
 //
-// Every walk of a scan (the fused loop, each shard worker, and the
-// caller's merge) runs a fixed distance ahead of its loop: a 16-item
+// Every walk of a scan (each slice loop and the caller's merge) runs a
+// fixed distance ahead of its loop: a 16-item
 // ring prefetches each target and its keep byte as it enters, and 8
 // items before a kept target is probed, its host-table slot
 // (Universe::prefetch; the merge probes nothing and skips this stage).

@@ -17,12 +17,6 @@ ActivityMap scan_activity(std::span<const Ipv6Addr> addrs,
   return activity;
 }
 
-std::vector<Ipv6Addr> dealias_seeds(std::span<const Ipv6Addr> addrs,
-                                    v6::dealias::Dealiaser& dealiaser,
-                                    ProbeType online_type) {
-  return dealiaser.filter(addrs, online_type);
-}
-
 std::vector<Ipv6Addr> filter_active_any(std::span<const Ipv6Addr> addrs,
                                         const ActivityMap& activity) {
   std::vector<Ipv6Addr> out;

@@ -1,13 +1,13 @@
 // Seed-dataset preprocessing: the operations whose impact the paper
-// quantifies in RQ1 and RQ2 — dealiasing seeds, removing unresponsive
-// seeds, and restricting to port-specific responsive seeds.
+// quantifies in RQ1 and RQ2 — removing unresponsive seeds and
+// restricting to port-specific responsive seeds. Dealiasing seeds is
+// dealias::Dealiaser::filter itself (experiment::Workbench::dealiased).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "dealias/dealiaser.h"
 #include "net/addr_index.h"
 #include "net/ipv6.h"
 #include "net/service.h"
@@ -61,14 +61,6 @@ class ActivityMap {
 /// count.
 ActivityMap scan_activity(std::span<const v6::net::Ipv6Addr> addrs,
                           v6::probe::Scanner& scanner);
-
-/// Removes aliased addresses from `addrs` under `dealiaser`'s mode.
-/// `online_type` is the probe type used for online alias verification
-/// (the paper dealiases seed datasets with ICMP-based probing).
-std::vector<v6::net::Ipv6Addr> dealias_seeds(
-    std::span<const v6::net::Ipv6Addr> addrs,
-    v6::dealias::Dealiaser& dealiaser,
-    v6::net::ProbeType online_type = v6::net::ProbeType::kIcmp);
 
 /// Keeps addresses responsive on at least one probe type ("All Active").
 std::vector<v6::net::Ipv6Addr> filter_active_any(

@@ -14,7 +14,6 @@ constexpr std::uint32_t kLastIndex = ~std::uint32_t{0};
 void Det::reset_model() {
   regions_.clear();
   groups_.clear();
-  pending_.clear();
   total_emitted_ = 0;
   const SpaceTree& tree =
       seed_index().tree({.policy = SplitPolicy::kMinEntropy,
@@ -105,10 +104,7 @@ std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
       }
       ++region.emitted;
       ++total_emitted_;
-      if (emit(*addr, out)) {
-        pending_.emplace(*addr, index);
-        ++taken;
-      }
+      if (emit(*addr, out, index)) ++taken;
     }
     link(index);
     consecutive_failures = taken == 0 ? consecutive_failures + 1 : 0;
@@ -117,14 +113,12 @@ std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
 }
 
 void Det::observe(const Ipv6Addr& addr, bool active) {
-  const auto it = pending_.find(addr);
-  if (it == pending_.end()) return;
-  if (active) {
-    unlink(it->second);
-    regions_[it->second].seed_mass += options_.hit_weight;
-    link(it->second);
-  }
-  pending_.erase(it);
+  const std::optional<std::uint64_t> route = take_route(addr);
+  if (!route.has_value() || !active) return;
+  const auto index = static_cast<std::uint32_t>(*route);
+  unlink(index);
+  regions_[index].seed_mass += options_.hit_weight;
+  link(index);
 }
 
 }  // namespace v6::tga

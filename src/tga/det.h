@@ -10,7 +10,6 @@
 
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "tga/space_tree.h"
@@ -73,7 +72,6 @@ class Det final : public TargetGeneratorBase {
   // Live regions grouped by emitted count. Every region in a group shares
   // one exploration bonus, so a group's best score is at its front.
   std::map<std::uint64_t, std::set<Ranked>> groups_;
-  std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
   std::uint64_t total_emitted_ = 0;
 };
 

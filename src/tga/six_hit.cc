@@ -37,7 +37,6 @@ void SixHit::rekey(std::size_t i) {
 }
 
 void SixHit::reset_model() {
-  pending_.clear();
   discovered_.clear();
   hits_since_rebuild_ = 0;
   build_regions(seed_index().tree(tree_options()));
@@ -46,7 +45,8 @@ void SixHit::reset_model() {
 void SixHit::recreate_tree() {
   std::vector<Ipv6Addr> combined(seeds().begin(), seeds().end());
   combined.insert(combined.end(), discovered_.begin(), discovered_.end());
-  pending_.clear();
+  // Region indices are about to name the new tree's leaves.
+  drop_routes();
   build_regions(SpaceTree(combined, tree_options()));
   hits_since_rebuild_ = 0;
 }
@@ -94,10 +94,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
         rekey(pick);
         break;
       }
-      if (emit(*addr, out)) {
-        pending_.emplace(*addr, static_cast<std::uint32_t>(pick));
-        ++taken;
-      }
+      if (emit(*addr, out, pick)) ++taken;
     }
     consecutive_failures = taken == 0 ? consecutive_failures + 1 : 0;
   }
@@ -105,17 +102,17 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
 }
 
 void SixHit::observe(const Ipv6Addr& addr, bool active) {
-  const auto it = pending_.find(addr);
-  if (it == pending_.end()) return;
-  Region& region = regions_[it->second];
+  const std::optional<std::uint64_t> route = take_route(addr);
+  if (!route.has_value()) return;
+  const auto pick = static_cast<std::size_t>(*route);
+  Region& region = regions_[pick];
   const double reward = active ? 1.0 : 0.0;
   region.q += options_.learning_rate * (reward - region.q);
-  rekey(it->second);
+  rekey(pick);
   if (active) {
     discovered_.push_back(addr);
     ++hits_since_rebuild_;
   }
-  pending_.erase(it);
 }
 
 }  // namespace v6::tga

@@ -6,7 +6,6 @@
 // space partition.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "tga/max_tournament.h"
@@ -55,7 +54,7 @@ class SixHit final : public TargetGeneratorBase {
   /// Replaces the regions with `tree`'s leaves.
   void build_regions(const SpaceTree& tree);
   /// Rebuilds the partition from the seeds plus every discovered active
-  /// address, forgetting in-flight feedback.
+  /// address, dropping the routes of in-flight feedback.
   void recreate_tree();
   /// Re-enters region `i`'s current q (or kOut once dead) in greedy_.
   void rekey(std::size_t i);
@@ -63,7 +62,6 @@ class SixHit final : public TargetGeneratorBase {
   Options options_;
   std::vector<Region> regions_;
   MaxTournament greedy_;  // argmax q over live regions
-  std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
   std::vector<v6::net::Ipv6Addr> discovered_;
   std::uint64_t hits_since_rebuild_ = 0;
 };

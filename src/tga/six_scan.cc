@@ -9,7 +9,6 @@ using v6::net::Ipv6Addr;
 
 void SixScan::reset_model() {
   regions_.clear();
-  pending_.clear();
   const SpaceTree& tree =
       seed_index().tree({.policy = SplitPolicy::kLeftmost,
                          .max_leaf_seeds = options_.max_leaf_seeds,
@@ -39,10 +38,7 @@ std::uint64_t SixScan::drain(Region& region, std::uint32_t region_id,
       break;  // widened space waits for a later round's ranking
     }
     ++region.emitted;
-    if (emit(*addr, out)) {
-      pending_.emplace(*addr, region_id);
-      ++taken;
-    }
+    if (emit(*addr, out, region_id)) ++taken;
   }
   return taken;
 }
@@ -102,14 +98,11 @@ std::vector<Ipv6Addr> SixScan::next_batch(std::size_t n) {
 }
 
 void SixScan::observe(const Ipv6Addr& addr, bool active) {
-  const auto it = pending_.find(addr);
-  if (it == pending_.end()) return;
-  if (active) {
-    Region& region = regions_[it->second];
-    ++region.hits_total;
-    ++region.hits_last_round;
-  }
-  pending_.erase(it);
+  const std::optional<std::uint64_t> route = take_route(addr);
+  if (!route.has_value() || !active) return;
+  Region& region = regions_[static_cast<std::size_t>(*route)];
+  ++region.hits_total;
+  ++region.hits_last_round;
 }
 
 }  // namespace v6::tga

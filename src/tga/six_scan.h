@@ -1,13 +1,12 @@
 // 6Scan (Hou et al., ToN 2023).
 //
 // Shares 6Tree's space-tree formulation but encodes region identity into
-// each probe (here: an explicit address->region map) so that scan replies
-// re-prioritize regions between rounds. Each next_batch() call is one
+// each probe (here: the region index filed as the address's feedback
+// route) so that scan replies re-prioritize regions between rounds. Each next_batch() call is one
 // round: budget is spread over regions ranked by the previous round's hit
 // counts, with a slice reserved for not-yet-probed regions.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "tga/space_tree.h"
@@ -56,7 +55,6 @@ class SixScan final : public TargetGeneratorBase {
 
   Options options_;
   std::vector<Region> regions_;
-  std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
 };
 
 }  // namespace v6::tga

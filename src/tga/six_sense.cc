@@ -16,7 +16,7 @@ namespace {
 constexpr std::uint32_t kPatternArm = 0xFFFFFFFF;
 
 /// Feedback route of an emitted address: its section and region ids,
-/// each in 32 bits.
+/// each in 32 bits (kNoRoute would need section id 0xFFFFFFFF).
 std::uint64_t route(std::uint32_t section_id, std::uint32_t region_id) {
   return (static_cast<std::uint64_t>(section_id) << 32) | region_id;
 }
@@ -31,7 +31,6 @@ void SixSense::attach_online_dealiaser(v6::dealias::OnlineDealiaser* dealiaser,
 
 void SixSense::reset_model() {
   sections_.clear();
-  pending_.clear();
   total_emitted_ = 0;
   coverage_turn_ = 0;
 
@@ -143,10 +142,7 @@ std::uint64_t SixSense::draw_patterns(std::uint32_t section_id,
     ++section.emitted;
     ++total_emitted_;
     const Ipv6Addr addr(subnet, pattern);
-    if (emit(addr, out)) {
-      pending_.emplace(addr, route(section_id, kPatternArm));
-      ++taken;
-    }
+    if (emit(addr, out, route(section_id, kPatternArm))) ++taken;
   }
   return taken;
 }
@@ -224,10 +220,7 @@ std::uint64_t SixSense::draw_from_section(std::uint32_t section_id,
       ++best->emitted;
       ++section.emitted;
       ++total_emitted_;
-      if (emit(*addr, out)) {
-        pending_.emplace(*addr, route(section_id, best_id));
-        ++taken;
-      }
+      if (emit(*addr, out, route(section_id, best_id))) ++taken;
     }
   }
   return taken;
@@ -276,20 +269,17 @@ std::vector<Ipv6Addr> SixSense::next_batch(std::size_t n) {
 }
 
 void SixSense::observe(const Ipv6Addr& addr, bool active) {
-  const auto it = pending_.find(addr);
-  if (it == pending_.end()) return;
-  if (active) {
-    const auto section_id = static_cast<std::uint32_t>(it->second >> 32);
-    const auto region_id = static_cast<std::uint32_t>(it->second);
-    Section& section = sections_[section_id];
-    ++section.hits;
-    if (region_id == kPatternArm) {
-      ++section.pattern_hits;
-    } else if (region_id < section.regions.size()) {
-      ++section.regions[region_id].hits;
-    }
+  const std::optional<std::uint64_t> packed = take_route(addr);
+  if (!packed.has_value() || !active) return;
+  const auto section_id = static_cast<std::uint32_t>(*packed >> 32);
+  const auto region_id = static_cast<std::uint32_t>(*packed);
+  Section& section = sections_[section_id];
+  ++section.hits;
+  if (region_id == kPatternArm) {
+    ++section.pattern_hits;
+  } else if (region_id < section.regions.size()) {
+    ++section.regions[region_id].hits;
   }
-  pending_.erase(it);
 }
 
 }  // namespace v6::tga

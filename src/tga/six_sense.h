@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "tga/space_tree.h"
@@ -91,9 +90,6 @@ class SixSense final : public TargetGeneratorBase {
   /// Lower-64 values shared by >= 2 seeds, most common first.
   std::vector<std::uint64_t> pattern_pool_;
   std::vector<Section> sections_;
-  /// addr -> (section << 32 | region) for feedback routing; region
-  /// 0xFFFFFFFF is the shared-pattern arm.
-  std::unordered_map<v6::net::Ipv6Addr, std::uint64_t> pending_;
   std::uint64_t total_emitted_ = 0;
   std::size_t coverage_turn_ = 0;
   v6::dealias::OnlineDealiaser* dealiaser_ = nullptr;

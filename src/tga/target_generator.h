@@ -4,14 +4,22 @@
 // probe. Offline generators derive everything from the seeds; online
 // generators additionally adapt to scan feedback delivered through
 // observe() between batches (paper §2.1).
+//
+// TargetGeneratorBase's emitted set doubles as the online generators'
+// route table: emit() files a 64-bit feedback route with an address
+// (the region that produced it), and observe() takes it back once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "check/contracts.h"
 #include "net/addr_index.h"
 #include "net/ipv6.h"
 #include "net/rng.h"
@@ -88,7 +96,8 @@ class TargetGenerator {
 
 /// Common bookkeeping shared by all concrete generators: the seed index
 /// (borrowed, or private to the generator), the set of already-emitted
-/// addresses (a generator never repeats itself), and a deterministic RNG.
+/// addresses (a generator never repeats itself) with each one's feedback
+/// route, and a deterministic RNG.
 class TargetGeneratorBase : public TargetGenerator {
  public:
   /// Trains on a private index over a copy of `seeds`.
@@ -116,36 +125,65 @@ class TargetGeneratorBase : public TargetGenerator {
 
   /// The seed-set half of absorb_seeds: returns how many of `added` are
   /// new seeds, appending them first if the index is private. Never
-  /// touches emitted_ or the RNG, so accumulated generator state
+  /// touches the emitted set or the RNG, so accumulated generator state
   /// survives the delta.
   std::size_t absorb_into_index(std::span<const v6::net::Ipv6Addr> added) {
     return own_index_ != nullptr ? own_index_->add(added) : added.size();
   }
 
-  /// Appends `addr` to `out` if it is neither a seed nor already emitted.
-  /// Returns true if appended.
-  bool emit(const v6::net::Ipv6Addr& addr,
-            std::vector<v6::net::Ipv6Addr>& out) {
-    if (index_->contains(addr)) return false;
-    if (!emitted_.insert(addr, 0)) return false;
+  /// Stored for an address emitted without a route, and once its route
+  /// is taken or dropped. A route a generator files must differ from it.
+  static constexpr std::uint64_t kNoRoute = ~std::uint64_t{0};
+
+  /// Appends `addr` to `out` if it is neither a seed nor already emitted,
+  /// filing `route` for take_route(addr). Returns true if appended.
+  bool emit(const v6::net::Ipv6Addr& addr, std::vector<v6::net::Ipv6Addr>& out,
+            std::optional<std::uint64_t> route = std::nullopt) {
+    V6_REQUIRE_MSG(route != kNoRoute, "kNoRoute cannot be a feedback route");
+    const auto emitted = v6::net::key_in(emitted_addrs_);
+    if (index_->contains(addr) ||
+        !emitted_.insert(addr, emitted_addrs_.size(), emitted).second) {
+      return false;
+    }
+    emitted_addrs_.push_back(addr);
+    routes_.push_back(route.value_or(kNoRoute));
     out.push_back(addr);
     return true;
   }
 
-  // A flat set (the mapped index is unused): only ever inserted into and
-  // queried, never erased from or iterated.
-  v6::net::AddrIndexMap emitted_;
+  /// The route emit() filed with `addr`, at most once: nullopt when
+  /// `addr` was not emitted since the last prepare, carried no route, or
+  /// its route was taken or dropped already.
+  std::optional<std::uint64_t> take_route(const v6::net::Ipv6Addr& addr) {
+    const std::optional<std::uint32_t> pos =
+        emitted_.find(addr, v6::net::key_in(emitted_addrs_));
+    if (!pos.has_value()) return std::nullopt;
+    const std::uint64_t route = std::exchange(routes_[*pos], kNoRoute);
+    if (route == kNoRoute) return std::nullopt;
+    return route;
+  }
+
+  /// Drops every route not yet taken; the addresses stay emitted.
+  void drop_routes() { std::fill(routes_.begin(), routes_.end(), kNoRoute); }
+
   v6::net::Rng rng_;
 
  private:
   void reset(std::uint64_t rng_seed) {
     emitted_.clear();
+    emitted_addrs_.clear();
+    routes_.clear();
     rng_ = v6::net::make_rng(rng_seed, v6::net::splitmix64(name().size()));
     reset_model();
   }
 
   std::unique_ptr<SeedIndex> own_index_;
   const SeedIndex* index_ = nullptr;
+  /// Every address emitted since the last prepare, in emission order,
+  /// indexed by emitted_; routes_[i] is emitted_addrs_[i]'s route.
+  v6::net::AddrIndex emitted_;
+  std::vector<v6::net::Ipv6Addr> emitted_addrs_;
+  std::vector<std::uint64_t> routes_;
 };
 
 }  // namespace v6::tga

@@ -144,27 +144,6 @@ TEST(Scanner, BlocklistedAddressesNeverProbed) {
   EXPECT_EQ(transport.packets_sent(), 0u);
 }
 
-TEST(Scanner, ProbeOneHonorsBlocklist) {
-  FakeTransport transport;
-  transport.set(addr_n(1), ProbeReply::kEchoReply);
-  Blocklist blocklist;
-  blocklist.add(v6::net::Prefix::must_parse("2001:db8::/32"));
-  Scanner scanner(transport, &blocklist, {.seed = 1});
-  // Blocked is reported as "no probe happened", not as a timeout.
-  EXPECT_EQ(scanner.probe_one(addr_n(1), ProbeType::kIcmp), std::nullopt);
-  EXPECT_EQ(transport.packets_sent(), 0u);
-}
-
-TEST(Scanner, ProbeOneMatchesScanClassification) {
-  FakeTransport transport;
-  transport.set(addr_n(1), ProbeReply::kEchoReply, /*timeouts_first=*/1);
-  Scanner scanner(transport, nullptr, {.max_retries = 1, .seed = 1});
-  const auto reply = scanner.probe_one(addr_n(1), ProbeType::kIcmp);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(*reply, ProbeReply::kEchoReply);
-  EXPECT_EQ(transport.sends_to(addr_n(1)), 2);
-}
-
 TEST(Scanner, ScratchReuseKeepsScansIndependent) {
   // Back-to-back scans through one scanner must dedup per call, not
   // across calls (the scratch set is reused but cleared).

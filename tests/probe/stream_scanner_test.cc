@@ -288,6 +288,49 @@ TEST(StreamScannerTest, AgreesWithBatchEngineOnPreWireAccounting) {
   EXPECT_EQ(stream_result.stats.probed, batch_result.stats.probed);
 }
 
+TEST(StreamScannerTest, PublishesTheBatchEnginesCounterSet) {
+  // Both engines publish through ScanStats::publish and resolve the
+  // retry counters with retry_counters(): one target list must give the
+  // same `scanner.*` names and the same pre-wire counts.
+  const auto& universe = v6::testutil::small_universe();
+  const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/17, 400);
+  const ScanOptions scan = ScanOptions{}.with_seed(4).with_retries(2);
+  v6::obs::Telemetry batch_telemetry;
+  v6::probe::SimTransport wire(universe, scan.seed);
+  v6::probe::Scanner batch(wire, nullptr,
+                           ScanOptions(scan).with_telemetry(&batch_telemetry));
+  batch.scan_hits(targets, ProbeType::kIcmp);
+  v6::obs::Telemetry stream_telemetry;
+  {
+    StreamScanner stream(
+        universe, nullptr,
+        StreamScanOptions{}.with_shards(2).with_scan(
+            ScanOptions(scan).with_telemetry(&stream_telemetry)));
+    stream.scan_hits(targets, ProbeType::kIcmp);
+  }  // the destructor flushes the lanes' retry tallies
+  const auto scanner_names = [](const v6::obs::Report& report) {
+    std::vector<std::string> names;
+    const auto add = [&names](const auto& metrics) {
+      for (const auto& entry : metrics) {
+        if (entry.first.starts_with("scanner.")) names.push_back(entry.first);
+      }
+    };
+    add(report.counters);
+    add(report.histograms);
+    add(report.timers);
+    return names;
+  };
+  const v6::obs::Report b = batch_telemetry.registry().snapshot();
+  const v6::obs::Report s = stream_telemetry.registry().snapshot();
+  EXPECT_EQ(scanner_names(b), scanner_names(s));
+  EXPECT_GT(b.counter_value("scanner.retry.2"), 0u);
+  EXPECT_GT(s.counter_value("scanner.retry.2"), 0u);
+  for (const char* name : {"scanner.targets", "scanner.deduped",
+                           "scanner.blocked", "scanner.probed"}) {
+    EXPECT_EQ(b.counter_value(name), s.counter_value(name)) << name;
+  }
+}
+
 TEST(StreamScannerTest, TelemetryCountersAreShardInvariant) {
   const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/13, 400);
   auto run_with_telemetry = [&](unsigned shards) {

@@ -5,6 +5,13 @@
 // regions; this file keeps test-only copies of the linear-scan
 // generators as oracles, drives each pair with identical seeds and
 // identical observe() feedback, and asserts that every batch is equal.
+//
+// The oracles also keep their own address -> region map of pending
+// feedback, so they pin the generators' route table (emit() and
+// take_route() in TargetGeneratorBase): feedback for an address observed
+// already, never emitted, or emitted before a 6Hit tree rebuild must
+// change nothing. 6Scan and 6Sense have no oracle; a twin that hears no
+// such feedback stands in for one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +28,8 @@
 #include "tga/det.h"
 #include "tga/max_tournament.h"
 #include "tga/six_hit.h"
+#include "tga/six_scan.h"
+#include "tga/six_sense.h"
 #include "tga/space_tree.h"
 #include "testutil/fixtures.h"
 
@@ -262,6 +272,14 @@ bool hashed_active(const Ipv6Addr& addr) {
 
 bool never_active(const Ipv6Addr&) { return false; }
 
+bool always_active(const Ipv6Addr&) { return true; }
+
+/// Addresses no generator emits from `seeds`: two seeds and an address
+/// outside 2001::/16, where every test seed lives.
+std::vector<Ipv6Addr> never_emitted(std::span<const Ipv6Addr> seeds) {
+  return {seeds[0], seeds[1], Ipv6Addr(0x3fff000000000000ULL, 1)};
+}
+
 /// One generator under test next to its oracle, fed the same calls.
 struct Pair {
   std::unique_ptr<TargetGenerator> fast;
@@ -285,31 +303,59 @@ struct Pair {
     ASSERT_EQ(fast->absorb_seeds(added), oracle->absorb_seeds(added));
   }
 
+  /// Requests `n` addresses from both and expects equal batches. Returns
+  /// the batch, or nullopt when the two differ.
+  std::optional<std::vector<Ipv6Addr>> next(std::size_t n,
+                                            std::size_t round = 0) {
+    auto got = fast->next_batch(n);
+    const auto want = oracle->next_batch(n);
+    const auto [g, w] =
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    EXPECT_TRUE(g == got.end() && w == want.end())
+        << fast->name() << " round " << round << ": batches of "
+        << got.size() << " and " << want.size() << " first differ at "
+        << (g - got.begin()) << " ("
+        << (g == got.end() ? "end" : g->to_string()) << " vs "
+        << (w == want.end() ? "end" : w->to_string()) << ")";
+    if (got != want) return std::nullopt;
+    return got;
+  }
+
+  /// Feeds `active` back to both for each of `addrs`.
+  void observe(std::span<const Ipv6Addr> addrs, const Feedback& active) {
+    for (const Ipv6Addr& addr : addrs) {
+      const bool hit = active(addr);
+      fast->observe(addr, hit);
+      oracle->observe(addr, hit);
+    }
+  }
+
   /// Requests each size in turn, asserts the two batches are equal, then
   /// feeds `active` back to both. Returns the total generated.
   std::size_t run(const std::vector<std::size_t>& sizes,
                   const Feedback& active) {
     std::size_t generated = 0;
     for (std::size_t round = 0; round < sizes.size(); ++round) {
-      const auto got = fast->next_batch(sizes[round]);
-      const auto want = oracle->next_batch(sizes[round]);
-      const auto [g, w] =
-          std::mismatch(got.begin(), got.end(), want.begin(), want.end());
-      EXPECT_TRUE(g == got.end() && w == want.end())
-          << fast->name() << " round " << round << ": batches of "
-          << got.size() << " and " << want.size() << " first differ at "
-          << (g - got.begin()) << " ("
-          << (g == got.end() ? "end" : g->to_string()) << " vs "
-          << (w == want.end() ? "end" : w->to_string()) << ")";
-      if (got != want) return generated;
-      for (const Ipv6Addr& addr : got) {
-        const bool hit = active(addr);
-        fast->observe(addr, hit);
-        oracle->observe(addr, hit);
-      }
-      generated += got.size();
+      const auto batch = next(sizes[round], round);
+      if (!batch.has_value()) return generated;
+      observe(*batch, active);
+      generated += batch->size();
     }
     return generated;
+  }
+
+  /// run(), but after each batch's feedback both also hear it again, all
+  /// active, and hear about addresses they never emitted: every batch
+  /// must still match the oracle's.
+  void run_with_stray_feedback(const std::vector<std::size_t>& sizes,
+                               std::span<const Ipv6Addr> seeds) {
+    for (std::size_t round = 0; round < sizes.size(); ++round) {
+      const auto batch = next(sizes[round], round);
+      if (!batch.has_value()) return;
+      observe(*batch, hashed_active);
+      observe(*batch, always_active);
+      observe(never_emitted(seeds), always_active);
+    }
   }
 };
 
@@ -417,6 +463,13 @@ TEST(DetSelection, SmallChunksAndHeavyHitsMatch) {
   pair.run(mixed_sizes(16), hashed_active);
 }
 
+TEST(DetSelection, RepeatedAndUnknownFeedbackIsIgnored) {
+  Pair pair = Pair::det({});
+  const auto seeds = sampled_seeds(3000, 41);
+  pair.prepare(seeds, 41);
+  pair.run_with_stray_feedback(mixed_sizes(16), seeds);
+}
+
 TEST(DetSelection, ExhaustedModelYieldsEmptyBatches) {
   Pair pair = Pair::det({});
   pair.prepare({}, 1);
@@ -469,6 +522,37 @@ TEST(SixHitSelection, AbsorbedSeedsRebuildTheSameWay) {
   pair.run(mixed_sizes(8), universe_active);
 }
 
+TEST(SixHitSelection, RepeatedAndUnknownFeedbackIsIgnored) {
+  Pair pair = Pair::six_hit({});
+  const auto seeds = sampled_seeds(3000, 43);
+  pair.prepare(seeds, 43);
+  pair.run_with_stray_feedback(mixed_sizes(16), seeds);
+}
+
+TEST(SixHitSelection, FeedbackFromBeforeARebuildIsDropped) {
+  // Region indices name a tree's leaves, so a rebuild drops every route
+  // not yet taken: feedback held back across one must change nothing.
+  Pair pair = Pair::six_hit({.rebuild_after_hits = 40});
+  pair.prepare(sampled_seeds(3000, 47), 47);
+  const auto held = pair.next(500);
+  ASSERT_TRUE(held.has_value());
+  const std::span<const Ipv6Addr> first(held->data(), 250);
+  const std::span<const Ipv6Addr> rest(held->data() + 250, held->size() - 250);
+  pair.observe(first, always_active);  // 250 hits: the next batch rebuilds
+  const auto rebuilt = pair.next(200, 1);
+  ASSERT_TRUE(rebuilt.has_value());
+  pair.observe(rest, always_active);
+  pair.observe(*rebuilt, hashed_active);
+  ASSERT_TRUE(pair.next(300, 2).has_value());
+
+  // A seed delta rebuilds the tree too.
+  const auto before_absorb = pair.next(400, 3);
+  ASSERT_TRUE(before_absorb.has_value());
+  pair.absorb(sampled_seeds(500, 48));
+  pair.observe(*before_absorb, always_active);
+  pair.run(mixed_sizes(8), hashed_active);
+}
+
 TEST(SixHitSelection, ExhaustedModelYieldsEmptyBatches) {
   Pair pair = Pair::six_hit({});
   pair.prepare({}, 1);
@@ -476,6 +560,63 @@ TEST(SixHitSelection, ExhaustedModelYieldsEmptyBatches) {
   pair.prepare(tied_seeds(10, 2), 1);
   EXPECT_EQ(pair.run({0}, hashed_active), 0u);
 }
+
+// ---- 6Scan and 6Sense: stray feedback against a twin --------------------
+
+/// Drives two generators of one kind with the same seeds, batches and
+/// feedback, except that `noisy` also hears each batch again, all
+/// active, and addresses it never emitted. Its route table must ignore
+/// both, so every batch must equal its twin's.
+template <typename Generator>
+void expect_stray_feedback_ignored(std::span<const Ipv6Addr> seeds) {
+  Generator noisy;
+  Generator quiet;
+  noisy.prepare(seeds, 5);
+  quiet.prepare(seeds, 5);
+  const auto sizes = mixed_sizes(16);
+  for (std::size_t round = 0; round < sizes.size(); ++round) {
+    const auto batch = noisy.next_batch(sizes[round]);
+    ASSERT_EQ(batch, quiet.next_batch(sizes[round])) << "round " << round;
+    for (const Ipv6Addr& addr : batch) {
+      const bool hit = hashed_active(addr);
+      noisy.observe(addr, hit);
+      quiet.observe(addr, hit);
+    }
+    for (const Ipv6Addr& addr : batch) noisy.observe(addr, true);
+    for (const Ipv6Addr& addr : never_emitted(seeds)) noisy.observe(addr, true);
+  }
+}
+
+TEST(SixScanSelection, RepeatedAndUnknownFeedbackIsIgnored) {
+  expect_stray_feedback_ignored<SixScan>(sampled_seeds(3000, 51));
+}
+
+TEST(SixSenseSelection, RepeatedAndUnknownFeedbackIsIgnored) {
+  expect_stray_feedback_ignored<SixSense>(sampled_seeds(3000, 53));
+}
+
+#if defined(V6_CONTRACTS)
+/// Files kNoRoute as a feedback route, which emit() must refuse: it is
+/// what take_route() reads as "no route".
+class NoRouteFiler final : public TargetGeneratorBase {
+ public:
+  std::string_view name() const override { return "NoRouteFiler"; }
+  std::vector<Ipv6Addr> next_batch(std::size_t) override {
+    std::vector<Ipv6Addr> out;
+    emit(Ipv6Addr(0x3fff000000000000ULL, 1), out, kNoRoute);
+    return out;
+  }
+
+ protected:
+  void reset_model() override {}
+};
+
+TEST(RouteTableDeathTest, NoRouteCannotBeFiled) {
+  NoRouteFiler generator;
+  generator.prepare({}, 1);
+  EXPECT_DEATH(generator.next_batch(1), "kNoRoute cannot be a feedback route");
+}
+#endif
 
 // ---- 6Hit's tournament tree on its own ----------------------------------
 
