@@ -4,7 +4,9 @@
 // Internet epoch by epoch, track how a day-0 hitlist decays, and compare
 // a TGA fed the stale day-0 hitlist against one fed a re-verified
 // (re-scanned) seed set at each epoch.
+#include <functional>
 #include <iostream>
+#include <unordered_set>
 
 #include "bench_common.h"
 #include "dealias/online_dealiaser.h"
@@ -39,15 +41,14 @@ int main(int argc, char** argv) {
   std::vector<Ipv6Addr> day0;
   {
     const auto collected = collector.collect_all();
-    std::vector<Ipv6Addr> all(collected.addrs().begin(),
-                              collected.addrs().end());
     v6::probe::SimTransport transport(universe, 42);
     v6::probe::Scanner scanner(transport, nullptr, {.seed = 42});
-    const auto activity = v6::seeds::scan_activity(all, scanner);
+    const auto activity = v6::seeds::scan_activity(
+        collected, std::bind_front(&v6::probe::Scanner::scan, &scanner));
     v6::dealias::OnlineDealiaser online(transport, 42);
     v6::dealias::Dealiaser joint(v6::dealias::DealiasMode::kJoint,
                                  &alias_list, &online);
-    for (const Ipv6Addr& addr : all) {
+    for (const Ipv6Addr& addr : collected.addrs()) {
       if (activity.active_any(addr) &&
           !joint.is_aliased(addr, ProbeType::kIcmp)) {
         day0.push_back(addr);
@@ -68,14 +69,19 @@ int main(int argc, char** argv) {
       v6::simnet::UniverseBuilder::age(universe, aging);
     }
 
-    // How much of the day-0 hitlist still answers?
+    // How much of the day-0 hitlist still answers, on any probe type?
     v6::probe::SimTransport check_transport(universe, 7 + epoch);
     v6::probe::Scanner check_scanner(check_transport, nullptr,
                                      {.seed = 7ull + epoch});
-    const auto activity = v6::seeds::scan_activity(day0, check_scanner);
+    std::unordered_set<Ipv6Addr> alive;
+    for (const ProbeType type : v6::net::kAllProbeTypes) {
+      for (const Ipv6Addr& addr : check_scanner.scan_hits(day0, type).hits) {
+        alive.insert(addr);
+      }
+    }
     std::vector<Ipv6Addr> verified;
     for (const Ipv6Addr& addr : day0) {
-      if (activity.active_any(addr)) verified.push_back(addr);
+      if (alive.contains(addr)) verified.push_back(addr);
     }
 
     // TGA runs: stale day-0 seeds vs the re-verified subset.

@@ -21,10 +21,8 @@
 // generator, not input validation — parsers still return nullopt on bad
 // input, and contracts only fire on programmer error.
 //
-// The observability layer's V6_OBS_ASSERT (src/obs/obs_assert.h)
-// predates this header and is now defined in terms of it: the
-// V6_OBS_ASSERTS CMake option still exists for obs-only checking, and
-// V6_CONTRACTS implies it.
+// The observability layer (src/obs) checks its own invariants (span
+// stack discipline, metric name validity) with V6_INVARIANT_MSG too.
 #pragma once
 
 #if defined(V6_CONTRACTS)

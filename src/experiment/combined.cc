@@ -1,13 +1,9 @@
 #include "experiment/combined.h"
 
-#include <optional>
 #include <unordered_map>
 
 #include "dealias/dealiaser.h"
-#include "dealias/online_dealiaser.h"
-#include "probe/instrumented_transport.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "experiment/scan_rig.h"
 
 namespace v6::experiment {
 
@@ -18,34 +14,21 @@ using v6::net::ProbeType;
 CombinedResult run_combined(
     const v6::simnet::Universe& universe,
     std::span<v6::tga::TargetGenerator* const> generators,
-    std::span<const Ipv6Addr> seeds,
+    const v6::tga::SeedIndex& seeds,
     const v6::dealias::AliasList& offline_aliases,
-    const CombinedConfig& config) {
+    const PipelineConfig& config) {
+  config.validate();
   CombinedResult result;
   result.per_generator.resize(generators.size());
 
   v6::obs::Span run_span(config.telemetry, "combined.run");
-  v6::probe::SimTransport sim_transport(universe, config.seed);
-  v6::probe::ProbeTransport* transport = &sim_transport;
-  std::optional<v6::probe::CountingTransport> counting;
-  if (config.telemetry != nullptr) {
-    counting.emplace(*transport, config.telemetry->registry());
-    transport = &*counting;
-  }
-  v6::probe::Scanner scanner(*transport, /*blocklist=*/nullptr,
-                             {.max_retries = config.scan_retries,
-                              .max_pps = config.max_pps,
-                              .seed = config.seed,
-                              .telemetry = config.telemetry});
-  v6::dealias::OnlineDealiaser online(*transport, config.seed);
+  ScanRig rig(universe, config);
   v6::dealias::Dealiaser dealiaser(v6::dealias::DealiasMode::kJoint,
-                                   &offline_aliases, &online);
+                                   &offline_aliases, &rig.online());
 
   for (std::size_t g = 0; g < generators.size(); ++g) {
-    generators[g]->prepare(seeds, config.seed + g);
-    if (config.attach_online_dealiaser) {
-      generators[g]->attach_online_dealiaser(&online, config.type);
-    }
+    generators[g]->prepare_shared(seeds, config.seed + g);
+    generators[g]->attach_online_dealiaser(&rig.online(), config.type);
   }
 
   // Addresses already scanned in an earlier round (and their verdicts):
@@ -66,9 +49,9 @@ CombinedResult run_combined(
     std::vector<Ipv6Addr> round_order;
     std::vector<Ipv6Addr> round_targets;
     for (std::size_t g = 0; g < generators.size(); ++g) {
-      if (generated[g] >= config.budget_per_generator) continue;
+      if (generated[g] >= config.budget) continue;
       const std::uint64_t want = std::min<std::uint64_t>(
-          config.batch_size, config.budget_per_generator - generated[g]);
+          config.batch_size, config.budget - generated[g]);
       const auto batch =
           generators[g]->next_batch(static_cast<std::size_t>(want));
       if (batch.empty()) continue;
@@ -92,11 +75,10 @@ CombinedResult run_combined(
     result.unique_scanned += round_targets.size();
     {
       v6::obs::Span span(config.telemetry, "combined.scan");
-      scanner.scan(round_targets, config.type,
-                   [&](const Ipv6Addr& addr, ProbeReply reply) {
-                     scanned.emplace(addr,
-                                     v6::net::is_hit(config.type, reply));
-                   });
+      rig.scan(round_targets, config.type,
+               [&](const Ipv6Addr& addr, ProbeReply reply) {
+                 scanned.emplace(addr, v6::net::is_hit(config.type, reply));
+               });
     }
 
     // 3. Attribute results back to every proposing generator.
@@ -137,10 +119,10 @@ CombinedResult run_combined(
     }
   }
 
-  result.packets = transport->packets_sent();
+  result.packets = rig.packets_sent();
   for (auto& outcome : result.per_generator) {
     outcome.packets = result.packets;  // shared scan: same wire cost
-    outcome.virtual_seconds = scanner.virtual_seconds();
+    outcome.virtual_seconds = rig.virtual_seconds();
   }
   return result;
 }

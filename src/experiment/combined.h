@@ -15,30 +15,14 @@
 #include <vector>
 
 #include "dealias/alias_list.h"
+#include "experiment/pipeline.h"
 #include "metrics/scan_outcome.h"
 #include "net/ipv6.h"
-#include "net/service.h"
-#include "obs/telemetry.h"
 #include "simnet/universe.h"
+#include "tga/seed_index.h"
 #include "tga/target_generator.h"
 
 namespace v6::experiment {
-
-struct CombinedConfig {
-  /// Generation budget per participating generator.
-  std::uint64_t budget_per_generator = 100'000;
-  std::uint64_t batch_size = 10'000;
-  v6::net::ProbeType type = v6::net::ProbeType::kIcmp;
-  bool filter_dense = true;
-  bool attach_online_dealiaser = true;
-  std::uint64_t seed = 42;
-  int scan_retries = 1;
-  double max_pps = 10'000.0;
-  /// Optional instrumentation context (borrowed): `combined.*` phase
-  /// spans plus the shared scanner/transport counters. Never alters
-  /// results.
-  v6::obs::Telemetry* telemetry = nullptr;
-};
 
 struct CombinedResult {
   /// Outcome attributed to each generator, index-aligned with the input
@@ -55,12 +39,16 @@ struct CombinedResult {
 };
 
 /// Runs all `generators` together over one seed dataset, scanning the
-/// per-round union once.
+/// per-round union once through one ScanRig built from `config`, whose
+/// `budget` is each generator's budget. Generator g is prepared on the
+/// borrowed `seeds` with seed `config.seed + g`; the caller owns the
+/// index, which must outlive every later use of the generators. Throws
+/// check::ConfigError on an invalid config.
 CombinedResult run_combined(
     const v6::simnet::Universe& universe,
     std::span<v6::tga::TargetGenerator* const> generators,
-    std::span<const v6::net::Ipv6Addr> seeds,
+    const v6::tga::SeedIndex& seeds,
     const v6::dealias::AliasList& offline_aliases,
-    const CombinedConfig& config);
+    const PipelineConfig& config);
 
 }  // namespace v6::experiment

@@ -1,7 +1,9 @@
 // The end-to-end TGA measurement pipeline (paper §4): seed a generator,
 // generate in batches up to the budget, scan, feed online generators,
 // dealias outputs with the joint (offline + online) method, filter the
-// AS12322 analogue from ICMP results, and compute metrics.
+// AS12322 analogue from ICMP results, and compute metrics. Scans go
+// through a ScanRig (experiment/scan_rig.h) built from the config, at
+// the paper's 10K pps (ScanOptions::max_pps).
 #pragma once
 
 #include <cstdint>
@@ -10,7 +12,6 @@
 #include "dealias/alias_list.h"
 #include "fault/fault_plan.h"
 #include "probe/blocklist.h"
-#include "dealias/dealiaser.h"
 #include "metrics/scan_outcome.h"
 #include "net/ipv6.h"
 #include "net/service.h"
@@ -40,41 +41,29 @@ struct PipelineConfig {
   v6::net::ProbeType type = v6::net::ProbeType::kIcmp;
   /// Remove AS12322-analogue addresses from ICMP metrics (paper §4.1).
   bool filter_dense = true;
-  /// Output dealiasing mode; the paper's pipeline always uses joint.
-  v6::dealias::DealiasMode output_dealias = v6::dealias::DealiasMode::kJoint;
-  /// Give generators with integrated online dealiasing (6Sense) access
-  /// to the online dealiaser during generation.
-  bool attach_online_dealiaser = true;
   std::uint64_t seed = 42;
   /// Scanner retransmissions after timeout.
   int scan_retries = 1;
-  double max_pps = 10'000.0;
-  /// Scan-engine selector. 0 (default) keeps the batch Scanner — the
-  /// golden-locked legacy path. >= 1 routes scans through the streaming
-  /// StreamScanner (probe/stream_scanner.h) with that many shard
-  /// workers: sharded cyclic iteration, stateless per-probe replies, and
-  /// a merge in canonical order after the workers join. Streaming outcomes
-  /// are shard-count-invariant but differ from the batch engine's for
-  /// targets whose replies are stochastic (different RNG model; see
-  /// docs/SCANNER.md).
+  /// Scan engine (experiment/scan_rig.h): 0 (default) is the batch
+  /// Scanner, the golden-locked legacy path; >= 1 is the streaming
+  /// StreamScanner with that many shard workers. Streaming outcomes are
+  /// shard-count-invariant but differ from the batch engine's for
+  /// targets whose replies are stochastic (docs/SCANNER.md).
   int shards = 0;
   /// Optional do-not-scan list honored by the scanner (the paper had to
   /// retrofit blocklisting into 6Scan's scanner; here it is first-class).
   const v6::probe::Blocklist* blocklist = nullptr;
-  /// Optional instrumentation context (borrowed). When set, the run
-  /// counts packets per probe type (CountingTransport), opens
-  /// `pipeline.*` phase spans per batch, and threads telemetry into the
-  /// scanner. Results are byte-identical with or without it.
+  /// Optional instrumentation context (borrowed): packet counters on the
+  /// wire chain (experiment/scan_rig.h), `pipeline.*` phase spans per
+  /// batch, and the scanner's counters. Results are byte-identical with
+  /// or without it.
   v6::obs::Telemetry* telemetry = nullptr;
-  /// Additionally emit one event per probe packet to the telemetry sink
-  /// (TracingTransport). Only honored when `telemetry` has a sink;
+  /// Also emit one event per probe packet when `telemetry` has a sink;
   /// intended for `sos --trace` on small universes.
   bool trace_probes = false;
-  /// Optional fault-injection plan (borrowed; see fault/fault_plan.h).
-  /// When non-null — even pointing at a disabled FaultPlan{} — probes
-  /// route through a FaultyTransport between the simulated wire and the
-  /// observability decorators. A disabled plan is byte-identical to
-  /// nullptr (ctest-asserted); null keeps the chain exactly as before.
+  /// Optional fault-injection plan (borrowed; see fault/fault_plan.h),
+  /// applied on the wire chain. A disabled plan is byte-identical to
+  /// nullptr (ctest-asserted).
   const v6::fault::FaultPlan* faults = nullptr;
   /// Robust-scanner knobs, forwarded verbatim to ScanOptions (see
   /// probe/scanner.h for semantics). All default off, so fault-free
@@ -88,17 +77,11 @@ struct PipelineConfig {
   PipelineConfig& with_budget(std::uint64_t v) { budget = v; return *this; }
   PipelineConfig& with_batch_size(std::uint64_t v) { batch_size = v; return *this; }
   PipelineConfig& with_type(v6::net::ProbeType v) { type = v; return *this; }
-  PipelineConfig& with_filter_dense(bool v) { filter_dense = v; return *this; }
-  PipelineConfig& with_output_dealias(v6::dealias::DealiasMode v) { output_dealias = v; return *this; }
-  PipelineConfig& with_attach_online_dealiaser(bool v) { attach_online_dealiaser = v; return *this; }
   PipelineConfig& with_seed(std::uint64_t v) { seed = v; return *this; }
   PipelineConfig& with_scan_retries(int v) { scan_retries = v; return *this; }
-  PipelineConfig& with_max_pps(double v) { max_pps = v; return *this; }
   PipelineConfig& with_shards(int v) { shards = v; return *this; }
-  PipelineConfig& with_blocklist(const v6::probe::Blocklist* v) { blocklist = v; return *this; }
   PipelineConfig& with_telemetry(v6::obs::Telemetry* v) { telemetry = v; return *this; }
   PipelineConfig& with_trace_probes(bool v) { trace_probes = v; return *this; }
-  PipelineConfig& with_faults(const v6::fault::FaultPlan* v) { faults = v; return *this; }
   PipelineConfig& with_probe_timeout(double seconds) { probe_timeout_s = seconds; return *this; }
   PipelineConfig& with_retry_backoff(double base_s, double jitter = 0.0) {
     retry_backoff_s = base_s;
@@ -114,8 +97,8 @@ struct PipelineConfig {
   /// Bounds-checks every field through the shared check/validate.h
   /// path; throws check::ConfigError with a uniform
   /// "PipelineConfig.<field>: <constraint>" message. Called by run_tga,
-  /// ScanSession::sweep, and the service loop, so an invalid config
-  /// fails identically whichever entry point sees it first.
+  /// run_combined and ScanSession::sweep, so an invalid config fails
+  /// identically whichever entry point sees it first.
   void validate() const;
 };
 

@@ -83,13 +83,6 @@ class ScanSession {
     config_ = c;
     return *this;
   }
-  /// Convenience: attaches a fault plan to the session's pipeline
-  /// config. The plan is borrowed; every run applies it through its own
-  /// privately-seeded FaultyTransport, so outcomes stay jobs-invariant.
-  ScanSession& with_faults(const v6::fault::FaultPlan* f) {
-    config_.faults = f;
-    return *this;
-  }
   /// Concurrent TGA runs: 0 means runtime::default_jobs(), 1 runs
   /// sequentially inline. Output order (and every ScanOutcome field) is
   /// identical for every jobs value, with or without telemetry.

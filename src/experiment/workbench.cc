@@ -1,11 +1,8 @@
 #include "experiment/workbench.h"
 
-#include <unordered_set>
+#include <functional>
 
-#include "dealias/online_dealiaser.h"
-#include "probe/instrumented_transport.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "experiment/scan_rig.h"
 #include "runtime/worker_group.h"
 #include "simnet/universe_builder.h"
 
@@ -33,40 +30,30 @@ Workbench::Workbench(WorkbenchConfig config)
     v6::seeds::SeedCollector collector(universe_, config_.seed);
     seeds_ = collector.collect_all();
     alias_list_ = v6::dealias::AliasList::published_from(universe_);
-    full_.assign(seeds_.addrs().begin(), seeds_.addrs().end());
   }
 
   // Activity ground scan of the full dataset on all four probe types
-  // (paper §5.3).
+  // (paper §5.3), with the paper's regular scan settings.
   v6::obs::Span span(config_.telemetry, "workbench.activity_scan");
-  v6::probe::SimTransport sim_transport(universe_, config_.seed);
-  v6::probe::ProbeTransport* transport = &sim_transport;
-  std::optional<v6::probe::CountingTransport> counting;
-  if (config_.telemetry != nullptr) {
-    counting.emplace(*transport, config_.telemetry->registry());
-    transport = &*counting;
-  }
-  v6::probe::Scanner scanner(*transport, /*blocklist=*/nullptr,
-                             {.max_retries = 1,
-                              .seed = config_.seed,
-                              .telemetry = config_.telemetry});
-  activity_ = v6::seeds::scan_activity(full_, scanner);
+  ScanRig rig(universe_, PipelineConfig{}
+                             .with_seed(config_.seed)
+                             .with_telemetry(config_.telemetry));
+  activity_ = v6::seeds::scan_activity(
+      seeds_, std::bind_front(&ScanRig::scan, &rig));
 }
-
-const std::vector<Ipv6Addr>& Workbench::full() { return full_; }
 
 const std::vector<Ipv6Addr>& Workbench::dealiased(
     v6::dealias::DealiasMode mode) {
-  if (mode == v6::dealias::DealiasMode::kNone) return full_;
+  if (mode == v6::dealias::DealiasMode::kNone) return full();
   const auto slot = static_cast<std::size_t>(mode);
   std::call_once(dealiased_once_[slot], [&] {
-    // A private transport per variant: the verdicts are a deterministic
-    // function of (universe, seed) regardless of which thread runs this.
-    v6::probe::SimTransport transport(universe_, config_.seed + 1);
-    v6::dealias::OnlineDealiaser online(transport, config_.seed + 1);
-    v6::dealias::Dealiaser dealiaser(mode, &alias_list_, &online);
+    // A private rig per variant, probed by its online dealiaser alone:
+    // the verdicts are a deterministic function of (universe, seed)
+    // regardless of which thread runs this.
+    ScanRig rig(universe_, PipelineConfig{}.with_seed(config_.seed + 1));
+    v6::dealias::Dealiaser dealiaser(mode, &alias_list_, &rig.online());
     // The paper dealiases seed datasets with ICMP-based probing.
-    dealiased_[slot] = dealiaser.filter(full_, ProbeType::kIcmp);
+    dealiased_[slot] = dealiaser.filter(full(), ProbeType::kIcmp);
   });
   return *dealiased_[slot];
 }

@@ -61,8 +61,8 @@ class Workbench {
 
   // ---- Seed dataset variants (paper Table 2) ---------------------------
 
-  /// The full collected dataset ("All").
-  const std::vector<v6::net::Ipv6Addr>& full();
+  /// The full collected dataset ("All"): the seed dataset's own vector.
+  const std::vector<v6::net::Ipv6Addr>& full() const { return seeds_.addrs(); }
 
   /// Dealiased under `mode` ("Offline Dealiased" / "Online Dealiased" /
   /// the joint "Active-Inactive" baseline). kNone returns full().
@@ -92,9 +92,9 @@ class Workbench {
   v6::simnet::Universe universe_;
   v6::seeds::SeedDataset seeds_;
   v6::dealias::AliasList alias_list_;
+  /// One mask per address of seeds_, at its position there.
   v6::seeds::ActivityMap activity_;
 
-  std::vector<v6::net::Ipv6Addr> full_;
   // Each lazily-computed variant pairs its cache slot with a once_flag;
   // computations are deterministic functions of the master seed, so
   // whichever thread wins call_once produces the same bytes.

@@ -106,7 +106,7 @@ void write_address_file(const std::string& path,
 
 void write_seed_dataset(std::ostream& os,
                         const v6::seeds::SeedDataset& dataset) {
-  const auto addrs = dataset.addrs();
+  const auto& addrs = dataset.addrs();
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     os << addrs[i].to_string() << '\t';
     const std::uint16_t mask = dataset.sources_of(i);

@@ -3,7 +3,8 @@
 //
 // AddrIndex maps an Ipv6Addr to its position in an array its owner
 // already keeps: Universe's host records, a scanner's target list, a
-// seed dataset's addresses. A slot is 8 bytes: the key's tag (the high
+// seed dataset's addresses (which seeds::ActivityMap borrows), a
+// generator's emitted set. A slot is 8 bytes: the key's tag (the high
 // half of its Ipv6AddrHash) and its position + 1, so a zeroed slot is
 // empty. The table holds neither the keys nor a pointer to them. Every
 // call takes a key accessor, key_at(pos) -> the owner's key at pos, and
@@ -25,9 +26,9 @@
 // eviction pass, and tga::SeedIndex after remove().
 //
 // AddrIndexMap keeps the map interface for users with no key array of
-// their own (a generator's emitted set, seeds::ActivityMap, 6Gen's /64
-// grouping): it stores its keys and values densely and indexes them
-// with the same core, 8 bytes per slot plus 20 per entry.
+// their own (6Gen's /64 grouping, tga::SeedIndex::remove's doomed set):
+// it stores its keys and values densely and indexes them with the same
+// core, 8 bytes per slot plus 20 per entry.
 //
 // prefetch() hints the cache to load the slot where a lookup would
 // start, so a scan loop can issue it some probes ahead and overlap the

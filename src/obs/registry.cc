@@ -1,6 +1,6 @@
 #include "obs/registry.h"
 
-#include "obs/obs_assert.h"
+#include "check/contracts.h"
 
 namespace v6::obs {
 
@@ -29,7 +29,7 @@ std::uint64_t Report::counter_value(std::string_view name) const {
 
 template <typename T>
 T& Registry::lookup(Table<T>& table, std::string_view name) {
-  V6_OBS_ASSERT(!name.empty(), "metric name must be non-empty");
+  V6_INVARIANT_MSG(!name.empty(), "metric name must be non-empty");
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = table.find(name);
   if (it != table.end()) return *it->second;
@@ -70,7 +70,7 @@ Report Registry::snapshot() const {
 }
 
 void Registry::merge_from(const Registry& other) {
-  V6_OBS_ASSERT(&other != this, "cannot merge a registry into itself");
+  V6_INVARIANT_MSG(&other != this, "cannot merge a registry into itself");
   const Report report = other.snapshot();
   for (const auto& [name, value] : report.counters) {
     if (value != 0) counter(name).add(value);

@@ -3,7 +3,7 @@
 #include <charconv>
 #include <ostream>
 
-#include "obs/obs_assert.h"
+#include "check/contracts.h"
 
 namespace v6::obs {
 
@@ -28,7 +28,7 @@ void MemorySink::clear() {
 }
 
 void MemorySink::replay_to(EventSink& sink) const {
-  V6_OBS_ASSERT(&sink != this, "cannot replay a sink into itself");
+  V6_INVARIANT_MSG(&sink != this, "cannot replay a sink into itself");
   // Copy under the lock, emit outside it: the target sink takes its own
   // lock and may be slow (file I/O).
   for (const Event& event : events()) sink.emit(event);

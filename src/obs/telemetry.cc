@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "obs/obs_assert.h"
+#include "check/contracts.h"
 
 namespace v6::obs {
 
@@ -31,7 +31,7 @@ StackTop* find_top(const Telemetry* owner) {
 Span::Span(Telemetry* telemetry, std::string_view name)
     : telemetry_(telemetry) {
   if (telemetry_ == nullptr) return;
-  V6_OBS_ASSERT(!name.empty(), "span name must be non-empty");
+  V6_INVARIANT_MSG(!name.empty(), "span name must be non-empty");
   name_.assign(name);
   StackTop* entry = find_top(telemetry_);
   if (entry == nullptr) {
@@ -74,8 +74,8 @@ Span::~Span() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
   StackTop* entry = find_top(telemetry_);
-  V6_OBS_ASSERT(entry != nullptr && entry->top == this,
-                "span destroyed out of stack order (or on another thread)");
+  V6_INVARIANT_MSG(entry != nullptr && entry->top == this,
+                   "span destroyed out of stack order (or on another thread)");
   if (entry != nullptr) {
     entry->top = parent_;
     if (parent_ == nullptr) {

@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <string>
 
+#include "check/validate.h"
+
 namespace v6::probe {
 
 using v6::net::Ipv6Addr;
 using v6::net::ProbeReply;
 using v6::net::ProbeType;
+
+void ScanOptions::validate() const {
+  const v6::check::Validator v("ScanOptions");
+  v.non_negative(max_retries, "max_retries");
+  v.positive(max_pps, "max_pps");
+  v.non_negative(probe_timeout_s, "probe_timeout_s");
+  v.non_negative(retry_backoff_s, "retry_backoff_s");
+  v.unit_interval(retry_jitter, "retry_jitter");
+  v.non_negative(adaptive_threshold, "adaptive_threshold");
+  v.non_negative(adaptive_backoff_s, "adaptive_backoff_s");
+}
 
 void ScanStats::publish(v6::obs::Registry& registry) const {
   registry.counter("scanner.targets").add(targets);
@@ -49,7 +62,9 @@ Scanner::Scanner(ProbeTransport& transport, const Blocklist* blocklist,
       limiter_(options.max_pps),
       shuffle_rng_(v6::net::make_rng(options.seed, /*tag=*/0x5CA4)),
       jitter_rng_(v6::net::make_rng(options.seed, /*tag=*/0xBACC0F)),
-      retry_counters_(retry_counters(options.telemetry, options.max_retries)) {}
+      retry_counters_(retry_counters(options.telemetry, options.max_retries)) {
+  options_.validate();
+}
 
 void Scanner::wait(double seconds) {
   // Waiting is always virtual: the limiter's clock and the transport
@@ -99,7 +114,7 @@ ProbeReply Scanner::probe_with_retries(const Ipv6Addr& addr, ProbeType type,
 void Scanner::note_reply(const Ipv6Addr& addr, ProbeReply reply,
                          ScanStats& stats) {
   if (options_.adaptive_threshold <= 0) return;
-  int& streak = timeout_streaks_[addr.masked(options_.adaptive_prefix_len)];
+  int& streak = timeout_streaks_[addr.masked(kAdaptivePrefixLen)];
   if (reply != ProbeReply::kTimeout) {
     streak = 0;
     return;

@@ -31,6 +31,10 @@
 
 namespace v6::probe {
 
+/// Prefix length grouping targets for the adaptive timeout streak
+/// (ScanOptions::adaptive_threshold).
+inline constexpr int kAdaptivePrefixLen = 48;
+
 /// Scanner configuration. Defaults story: a default-constructed
 /// ScanOptions is the paper's regular scan — 1 retry, shuffled order,
 /// 10K pps, seed 0, uninstrumented. Override with designated
@@ -68,14 +72,12 @@ struct ScanOptions {
   /// seeded RNG (net/rng.h): the wait is scaled by a uniform factor in
   /// [1-jitter, 1+jitter]. Deterministic per seed; 0 draws nothing.
   double retry_jitter = 0.0;
-  /// Consecutive final timeouts inside one /adaptive_prefix_len bucket
+  /// Consecutive final timeouts inside one /kAdaptivePrefixLen bucket
   /// that trip an adaptive cool-down (rate-limit back-pressure signal).
   /// 0 disables adaptive backoff.
   int adaptive_threshold = 0;
   /// Cool-down wait in virtual seconds when the threshold trips.
   double adaptive_backoff_s = 0.0;
-  /// Prefix length grouping targets for the adaptive timeout streak.
-  int adaptive_prefix_len = 48;
 
   ScanOptions& with_retries(int v) { max_retries = v; return *this; }
   ScanOptions& with_max_pps(double v) { max_pps = v; return *this; }
@@ -87,13 +89,18 @@ struct ScanOptions {
     retry_jitter = jitter;
     return *this;
   }
-  ScanOptions& with_adaptive_backoff(int threshold, double wait_s,
-                                     int prefix_len = 48) {
+  ScanOptions& with_adaptive_backoff(int threshold, double wait_s) {
     adaptive_threshold = threshold;
     adaptive_backoff_s = wait_s;
-    adaptive_prefix_len = prefix_len;
     return *this;
   }
+
+  /// Bounds-checks every field through the shared check/validate.h
+  /// path; throws check::ConfigError with a uniform
+  /// "ScanOptions.<field>: <constraint>" message. Both engines'
+  /// constructors call it, so a negative retry count, a NaN rate or a
+  /// jitter above 1 never reaches a scan.
+  void validate() const;
 };
 
 struct ScanStats {
@@ -144,7 +151,8 @@ struct ScanResult {
 class Scanner {
  public:
   /// `blocklist` may be null (no blocklisting). The transport is borrowed
-  /// and must outlive the scanner.
+  /// and must outlive the scanner. Throws check::ConfigError on invalid
+  /// options (ScanOptions::validate).
   Scanner(ProbeTransport& transport, const Blocklist* blocklist,
           ScanOptions options);
 
@@ -192,7 +200,7 @@ class Scanner {
   /// Backoff jitter stream, independent of the shuffle stream; only ever
   /// drawn when retry_jitter > 0, so the default path consumes nothing.
   v6::net::Rng jitter_rng_;
-  /// Consecutive-timeout streak per /adaptive_prefix_len bucket. Kept
+  /// Consecutive-timeout streak per /kAdaptivePrefixLen bucket. Kept
   /// across scan() calls (the back-pressure signal outlives a batch);
   /// only populated when adaptive_threshold > 0.
   std::unordered_map<v6::net::Ipv6Addr, int, v6::net::Ipv6AddrHash>

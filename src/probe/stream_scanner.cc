@@ -176,15 +176,7 @@ class LookaheadWalk {
 void StreamScanOptions::validate() const {
   const v6::check::Validator v("StreamScanOptions");
   v.positive(shards, "shards");
-  v.non_negative(scan.max_retries, "scan.max_retries");
-  v.positive(scan.max_pps, "scan.max_pps");
-  v.non_negative(scan.probe_timeout_s, "scan.probe_timeout_s");
-  v.non_negative(scan.retry_backoff_s, "scan.retry_backoff_s");
-  v.unit_interval(scan.retry_jitter, "scan.retry_jitter");
-  v.non_negative(scan.adaptive_threshold, "scan.adaptive_threshold");
-  v.non_negative(scan.adaptive_backoff_s, "scan.adaptive_backoff_s");
-  v.require(scan.adaptive_prefix_len > 0 && scan.adaptive_prefix_len <= 128,
-            "scan.adaptive_prefix_len", "must be in [1, 128]");
+  scan.validate();
 }
 
 StreamScanner::StreamScanner(const v6::simnet::Universe& universe,
@@ -269,8 +261,7 @@ ProbeReply StreamScanner::lane_probe(Lane& lane, const Ipv6Addr& addr,
 void StreamScanner::note_reply(Lane& lane, const Ipv6Addr& addr,
                                ProbeReply reply) const {
   if (options_.scan.adaptive_threshold <= 0) return;
-  int& streak =
-      lane.timeout_streaks[addr.masked(options_.scan.adaptive_prefix_len)];
+  int& streak = lane.timeout_streaks[addr.masked(kAdaptivePrefixLen)];
   if (reply != ProbeReply::kTimeout) {
     streak = 0;
     return;

@@ -109,10 +109,10 @@ struct StreamScanOptions {
     return *this;
   }
 
-  /// Bounds-checks the streaming knobs and the wrapped ScanOptions
-  /// through the shared check/validate.h path; throws check::ConfigError
-  /// with a uniform "StreamScanOptions.<field>: <constraint>" message.
-  /// The StreamScanner constructor calls this, so a bad config fails the
+  /// Bounds-checks the shard count ("StreamScanOptions.shards: ...")
+  /// and then the wrapped ScanOptions (ScanOptions::validate,
+  /// "ScanOptions.<field>: ..."), throwing check::ConfigError. The
+  /// StreamScanner constructor calls this, so a bad config fails the
   /// same way whether it reaches the engine directly or via
   /// PipelineConfig.
   void validate() const;

@@ -11,7 +11,7 @@ OverlapMatrix ip_overlap(const SeedDataset& dataset, const AddrFilter& filter) {
       inter{};
   std::array<std::size_t, kNumSeedSources> shared{};
 
-  const auto addrs = dataset.addrs();
+  const auto& addrs = dataset.addrs();
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     if (filter && !filter(addrs[i])) continue;
     const std::uint16_t mask = dataset.sources_of(i);
@@ -51,7 +51,7 @@ OverlapMatrix as_overlap(const SeedDataset& dataset, const AsnResolver& asn_of,
   std::array<std::unordered_set<std::uint32_t>, kNumSeedSources> as_sets;
   // Memoize address -> ASN: datasets routinely hold hundreds of
   // thousands of addresses mapping to a few thousand ASes.
-  const auto addrs = dataset.addrs();
+  const auto& addrs = dataset.addrs();
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     if (filter && !filter(addrs[i])) continue;
     const auto asn = asn_of(addrs[i]);

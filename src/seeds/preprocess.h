@@ -5,25 +5,35 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "net/addr_index.h"
+#include "check/contracts.h"
 #include "net/ipv6.h"
 #include "net/service.h"
-#include "probe/scanner.h"
+#include "seeds/seed_dataset.h"
 
 namespace v6::seeds {
 
 /// Per-address responsiveness across the four studied probe types,
 /// obtained by scanning the seeds (the paper's "Active" determination,
-/// §5.3).
+/// §5.3). It keeps one mask per address of a seed dataset, at that
+/// address's position in addrs(), and finds positions through the
+/// dataset's own index, so it stores no address.
 class ActivityMap {
  public:
-  /// Responsiveness mask of `addr` (0 if never scanned or unresponsive).
+  /// Covers no address.
+  ActivityMap() = default;
+  /// Covers `seeds`' addresses, all unresponsive until marked. `seeds` is
+  /// borrowed and must outlive the map and not change.
+  explicit ActivityMap(const SeedDataset& seeds)
+      : seeds_(&seeds), masks_(seeds.size(), 0) {}
+
+  /// Responsiveness mask of `addr` (0 if not covered or unresponsive).
   v6::net::ServiceMask of(const v6::net::Ipv6Addr& addr) const {
-    const std::uint32_t* i = index_.find(addr);
-    return i == nullptr ? 0 : masks_[*i];
+    const std::optional<std::uint32_t> i = position(addr);
+    return i.has_value() ? masks_[*i] : 0;
   }
 
   bool active_on(const v6::net::Ipv6Addr& addr, v6::net::ProbeType t) const {
@@ -32,35 +42,42 @@ class ActivityMap {
 
   bool active_any(const v6::net::Ipv6Addr& addr) const { return of(addr) != 0; }
 
-  void set(const v6::net::Ipv6Addr& addr, v6::net::ServiceMask m) {
-    slot(addr) = m;
-  }
-
+  /// Marks `addr`, which must be covered, responsive on `t`.
   void merge_bit(const v6::net::Ipv6Addr& addr, v6::net::ProbeType t) {
-    slot(addr) |= v6::net::service_bit(t);
+    const std::optional<std::uint32_t> i = position(addr);
+    V6_REQUIRE_MSG(i.has_value(), "address is not in the covered dataset");
+    masks_[*i] |= v6::net::service_bit(t);
   }
 
+  /// Addresses covered.
   std::size_t size() const { return masks_.size(); }
 
  private:
-  /// The mask stored for `addr`, inserted as 0 if absent.
-  v6::net::ServiceMask& slot(const v6::net::Ipv6Addr& addr) {
-    const auto [i, inserted] =
-        index_.emplace(addr, static_cast<std::uint32_t>(masks_.size()));
-    if (inserted) masks_.push_back(0);
-    return masks_[i];
+  std::optional<std::uint32_t> position(const v6::net::Ipv6Addr& addr) const {
+    return seeds_ == nullptr ? std::nullopt : seeds_->find(addr);
   }
 
-  /// addr -> its position in masks_.
-  v6::net::AddrIndexMap index_;
+  const SeedDataset* seeds_ = nullptr;
+  /// masks_[i] is the mask of seeds_->addrs()[i].
   std::vector<v6::net::ServiceMask> masks_;
 };
 
-/// Scans `addrs` on all four probe types and records per-address
-/// responsiveness. Only positive replies (per the paper's hit rules)
-/// count.
-ActivityMap scan_activity(std::span<const v6::net::Ipv6Addr> addrs,
-                          v6::probe::Scanner& scanner);
+/// Scans `seeds` on all four probe types and records per-address
+/// responsiveness. `scan(targets, type, on_reply)` probes `targets` on
+/// `type` and calls `on_reply(addr, reply)` with each probed address's
+/// final reply (an experiment's ScanRig::scan, say). Only positive
+/// replies (per the paper's hit rules) count.
+template <typename Scan>
+ActivityMap scan_activity(const SeedDataset& seeds, Scan&& scan) {
+  ActivityMap activity(seeds);
+  for (const v6::net::ProbeType type : v6::net::kAllProbeTypes) {
+    scan(seeds.addrs(), type,
+         [&](const v6::net::Ipv6Addr& addr, v6::net::ProbeReply reply) {
+           if (v6::net::is_hit(type, reply)) activity.merge_bit(addr, type);
+         });
+  }
+  return activity;
+}
 
 /// Keeps addresses responsive on at least one probe type ("All Active").
 std::vector<v6::net::Ipv6Addr> filter_active_any(

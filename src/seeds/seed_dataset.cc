@@ -1,7 +1,5 @@
 #include "seeds/seed_dataset.h"
 
-#include <optional>
-
 #include "check/contracts.h"
 
 namespace v6::seeds {
@@ -27,8 +25,7 @@ void SeedDataset::reserve(std::size_t n) {
 }
 
 std::uint16_t SeedDataset::sources_of(const v6::net::Ipv6Addr& addr) const {
-  const std::optional<std::uint32_t> i =
-      index_.find(addr, v6::net::key_in(addrs_));
+  const std::optional<std::uint32_t> i = find(addr);
   if (!i.has_value()) return 0;
   V6_INVARIANT(*i < masks_.size());
   return masks_[*i];

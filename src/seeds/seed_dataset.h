@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <optional>
 #include <vector>
 
 #include "check/contracts.h"
@@ -23,7 +23,12 @@ class SeedDataset {
   void reserve(std::size_t n);
 
   /// Unique addresses in first-seen order.
-  std::span<const v6::net::Ipv6Addr> addrs() const { return addrs_; }
+  const std::vector<v6::net::Ipv6Addr>& addrs() const { return addrs_; }
+
+  /// The position of `addr` in addrs(), or nullopt if absent.
+  std::optional<std::uint32_t> find(const v6::net::Ipv6Addr& addr) const {
+    return index_.find(addr, v6::net::key_in(addrs_));
+  }
 
   /// Source membership bitmask of addrs()[i].
   std::uint16_t sources_of(std::size_t i) const {
@@ -35,7 +40,7 @@ class SeedDataset {
   std::uint16_t sources_of(const v6::net::Ipv6Addr& addr) const;
 
   bool contains(const v6::net::Ipv6Addr& addr) const {
-    return index_.contains(addr, v6::net::key_in(addrs_));
+    return find(addr).has_value();
   }
 
   std::size_t size() const { return addrs_.size(); }

@@ -35,7 +35,6 @@ void ServiceConfig::validate() const {
   v.positive(budget_per_cycle, "budget_per_cycle");
   v.positive(shards, "shards");
   v.positive(max_pps, "max_pps");
-  v.non_negative(scan_retries, "scan_retries");
   v.unit_interval(explore_floor, "explore_floor");
   const std::size_t roster =
       kinds.empty() ? v6::tga::kAllTgas.size() : kinds.size();
@@ -106,7 +105,6 @@ const HitlistEpoch& HitlistService::refresh_once() {
   scan_options.shards = static_cast<unsigned>(config_.shards);
   scan_options.scan.seed = v6::net::derive_seed(config_.seed, kScanTag + cycle);
   scan_options.scan.max_pps = config_.max_pps;
-  scan_options.scan.max_retries = config_.scan_retries;
   scan_options.scan.telemetry = telemetry;
   scan_options.watchdog = config_.watchdog;
   v6::probe::StreamScanner scanner(*universe_, /*blocklist=*/nullptr,

@@ -70,8 +70,9 @@ struct ServiceConfig {
   /// Streaming-engine shard count for the refresh scans (>= 1; the
   /// epoch sequence is invariant in this).
   int shards = 1;
+  /// The refresh scans' rate; they retry a timeout once
+  /// (ScanOptions::max_retries).
   double max_pps = 10'000.0;
-  int scan_retries = 1;
   /// Per-TGA guaranteed share of the discovery budget, in
   /// [0, 1/num_tgas].
   double explore_floor = 0.10;

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/obs_assert.h"
-
 namespace {
 
 TEST(Contracts, PassingChecksAreSilent) {
@@ -18,7 +16,6 @@ TEST(Contracts, PassingChecksAreSilent) {
   V6_ENSURE_MSG(true, "fine");
   V6_INVARIANT(true);
   V6_INVARIANT_MSG(true, "fine");
-  V6_OBS_ASSERT(true, "fine");
   SUCCEED();
 }
 
@@ -37,12 +34,6 @@ TEST(ContractsDeathTest, MessageFormsIncludeTheMessage) {
                "postcondition.*result out of range");
   EXPECT_DEATH(V6_INVARIANT_MSG(false, "heap corrupt"),
                "invariant.*heap corrupt");
-}
-
-TEST(ContractsDeathTest, ObsAssertRoutesThroughContracts) {
-  // With V6_CONTRACTS on, V6_OBS_ASSERT is an invariant check.
-  EXPECT_DEATH(V6_OBS_ASSERT(false, "span stack underflow"),
-               "invariant.*span stack underflow");
 }
 
 #else

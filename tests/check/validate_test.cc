@@ -1,7 +1,7 @@
 // Tests for the unified config validation layer (src/check/validate.h)
 // and the validate() implementations it backs: PipelineConfig,
-// ScanSession, StreamScanOptions, and ServiceConfig all fail with the
-// same ConfigError shape —
+// ScanSession, ScanOptions (both scan engines), StreamScanOptions, and
+// ServiceConfig all fail with the same ConfigError shape —
 //
 //   <ConfigName>.<field>: <constraint>
 //
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "experiment/pipeline.h"
@@ -93,13 +94,35 @@ TEST(ConfigValidation, StreamScanOptionsRejectsBadFields) {
               v6::probe::StreamScanOptions{}.with_shards(0).validate();
             }),
             "StreamScanOptions.shards: must be > 0");
+  // The wrapped scan knobs are ScanOptions::validate's, message and all.
   EXPECT_EQ(error_message([] {
               auto options = v6::probe::StreamScanOptions{};
-              options.scan.adaptive_prefix_len = 0;
+              options.scan.max_retries = -1;
               options.validate();
             }),
-            "StreamScanOptions.scan.adaptive_prefix_len: must be in [1, 128]");
+            "ScanOptions.max_retries: must be >= 0");
   v6::probe::StreamScanOptions{}.validate();
+}
+
+TEST(ConfigValidation, ScannerRejectsBadOptions) {
+  // Unchecked, each would reach the batch engine: -1 retries sends no
+  // packet yet counts the target probed and timed out, a NaN rate is
+  // clamped to 1 pps, and a jitter above 1 can make a backoff wait
+  // negative and wind the fault plane's clock back.
+  v6::probe::SimTransport transport(v6::testutil::small_universe(), 1);
+  const auto build = [&](const v6::probe::ScanOptions& options) {
+    return error_message([&] {
+      const v6::probe::Scanner scanner(transport, nullptr, options);
+    });
+  };
+  EXPECT_EQ(build(v6::probe::ScanOptions{}.with_retries(-1)),
+            "ScanOptions.max_retries: must be >= 0");
+  EXPECT_EQ(build(v6::probe::ScanOptions{}.with_max_pps(
+                std::numeric_limits<double>::quiet_NaN())),
+            "ScanOptions.max_pps: must be > 0");
+  EXPECT_EQ(build(v6::probe::ScanOptions{}.with_retry_backoff(0.1, 1.5)),
+            "ScanOptions.retry_jitter: must be in [0, 1]");
+  const v6::probe::Scanner scanner(transport, nullptr, {});  // defaults
 }
 
 TEST(ConfigValidation, ServiceConfigRejectsBadFields) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -184,38 +185,42 @@ TEST(SeedCollector, SecrankRestrictedToChinaRegionAses) {
 }
 
 TEST(ActivityMap, SetAndQuery) {
-  ActivityMap activity;
-  activity.set(addr_n(1), v6::net::service_bit(ProbeType::kIcmp));
+  SeedDataset dataset;
+  dataset.add(addr_n(1), SeedSource::kCensys);
+  dataset.add(addr_n(2), SeedSource::kCensys);
+  ActivityMap activity(dataset);
+  EXPECT_EQ(activity.size(), 2u);
+  activity.merge_bit(addr_n(1), ProbeType::kIcmp);
   activity.merge_bit(addr_n(1), ProbeType::kTcp80);
   EXPECT_TRUE(activity.active_on(addr_n(1), ProbeType::kIcmp));
   EXPECT_TRUE(activity.active_on(addr_n(1), ProbeType::kTcp80));
   EXPECT_FALSE(activity.active_on(addr_n(1), ProbeType::kUdp53));
   EXPECT_TRUE(activity.active_any(addr_n(1)));
-  EXPECT_FALSE(activity.active_any(addr_n(2)));
+  EXPECT_FALSE(activity.active_any(addr_n(2)));  // covered, never marked
+  EXPECT_FALSE(activity.active_any(addr_n(3)));  // not covered
+  EXPECT_EQ(ActivityMap().of(addr_n(1)), 0u);
 }
 
 TEST(ActivityMap, MatchesUnorderedMapReferenceAcrossGrowth) {
-  ActivityMap activity;
+  // The map covers a dataset of random keys. The set of addresses with a
+  // marked bit grows from none to most of it, and every query, of a
+  // covered key or of one the dataset lacks, must match the reference.
+  v6::net::Rng rng(23);
+  SeedDataset dataset;
+  for (int i = 0; i < 8'192; ++i) {
+    dataset.add(random_key(rng), SeedSource::kCensys);
+  }
+  ActivityMap activity(dataset);
   std::unordered_map<Ipv6Addr, v6::net::ServiceMask, v6::net::Ipv6AddrHash>
       reference;
-  std::vector<Ipv6Addr> keys;
-  v6::net::Rng rng(23);
   for (int i = 0; i < 20'000; ++i) {
-    const Ipv6Addr addr = random_key(rng);
-    if (!reference.contains(addr)) keys.push_back(addr);
-    if (rng() % 4 == 0) {
-      // set() overwrites whatever merge_bit() accumulated.
-      const auto mask = static_cast<v6::net::ServiceMask>(rng() % 16);
-      activity.set(addr, mask);
-      reference[addr] = mask;
-    } else {
-      const ProbeType type =
-          v6::net::kAllProbeTypes[rng() % v6::net::kNumProbeTypes];
-      activity.merge_bit(addr, type);
-      reference[addr] |= v6::net::service_bit(type);
-    }
+    const Ipv6Addr addr = dataset.addrs()[rng() % dataset.size()];
+    const ProbeType type =
+        v6::net::kAllProbeTypes[rng() % v6::net::kNumProbeTypes];
+    activity.merge_bit(addr, type);
+    reference[addr] |= v6::net::service_bit(type);
 
-    const Ipv6Addr probe = random_key(rng);  // absent about half the time
+    const Ipv6Addr probe = random_key(rng);  // often not in the dataset
     const auto ref = reference.find(probe);
     const v6::net::ServiceMask expected =
         ref == reference.end() ? 0 : ref->second;
@@ -226,24 +231,27 @@ TEST(ActivityMap, MatchesUnorderedMapReferenceAcrossGrowth) {
                 v6::net::has_service(expected, type));
     }
   }
-  EXPECT_EQ(activity.size(), reference.size());
-  for (const Ipv6Addr& addr : keys) {
-    ASSERT_EQ(activity.of(addr), reference.at(addr)) << addr.to_string();
+  EXPECT_EQ(activity.size(), dataset.size());
+  for (const Ipv6Addr& addr : dataset.addrs()) {
+    const auto ref = reference.find(addr);
+    ASSERT_EQ(activity.of(addr), ref == reference.end() ? 0 : ref->second)
+        << addr.to_string();
   }
 }
 
 TEST(Preprocess, ScanActivityMatchesGroundTruth) {
   const auto& universe = small_universe();
-  std::vector<Ipv6Addr> addrs;
+  SeedDataset seeds;
   for (const auto& host : universe.hosts()) {
     if (universe.is_aliased(host.addr)) continue;
-    addrs.push_back(host.addr);
-    if (addrs.size() >= 3000) break;
+    seeds.add(host.addr, SeedSource::kCensys);
+    if (seeds.size() >= 3000) break;
   }
   v6::probe::SimTransport transport(universe, 9);
   v6::probe::Scanner scanner(transport, nullptr, {.max_retries = 1, .seed = 9});
-  const ActivityMap activity = scan_activity(addrs, scanner);
-  for (const Ipv6Addr& a : addrs) {
+  const ActivityMap activity = scan_activity(
+      seeds, std::bind_front(&v6::probe::Scanner::scan, &scanner));
+  for (const Ipv6Addr& a : seeds.addrs()) {
     const auto* host = universe.host(a);
     ASSERT_NE(host, nullptr);
     EXPECT_EQ(activity.of(a), host->services) << a.to_string();
@@ -251,9 +259,11 @@ TEST(Preprocess, ScanActivityMatchesGroundTruth) {
 }
 
 TEST(Preprocess, FilterActiveSubsets) {
-  ActivityMap activity;
-  activity.set(addr_n(1), v6::net::service_bit(ProbeType::kIcmp));
-  activity.set(addr_n(2), v6::net::service_bit(ProbeType::kTcp80));
+  SeedDataset dataset;
+  for (std::uint64_t i : {1, 2, 3}) dataset.add(addr_n(i), SeedSource::kCensys);
+  ActivityMap activity(dataset);
+  activity.merge_bit(addr_n(1), ProbeType::kIcmp);
+  activity.merge_bit(addr_n(2), ProbeType::kTcp80);
   const std::vector<Ipv6Addr> addrs = {addr_n(1), addr_n(2), addr_n(3)};
 
   EXPECT_EQ(filter_active_any(addrs, activity).size(), 2u);

@@ -11,9 +11,9 @@
 //   sos survey [--port P] [--budget N] [--seed N] [--jobs N]
 //              [--combined any] [--tgas A,B,...]
 //       Run all eight TGAs (or the --tgas subset) and print the
-//       comparison table. With --combined, generate from all TGAs and
-//       scan the union once (the paper's probing methodology, minimizing
-//       per-address scans).
+//       comparison table. With --combined, generate from the same TGAs
+//       and scan the union once (the paper's probing methodology,
+//       minimizing per-address scans).
 //   sos report FILE [--json] [--top N]
 //       Analyze a --trace JSONL file offline: per-TGA phase tables, wire
 //       accounting, histogram quantiles, top-N slowest spans. --json
@@ -478,21 +478,35 @@ int cmd_survey(const Args& args) {
   const std::uint64_t seed = args.get_u64("seed", 42);
   const auto& seeds = bench.all_active();
 
+  std::vector<v6::tga::TgaKind> kinds;  // empty = all eight
+  if (args.options.contains("tgas") &&
+      !parse_tga_list(args.get("tgas", ""), &kinds)) {
+    return 2;
+  }
+  std::optional<v6::fault::FaultPlan> plan;
+  auto config = v6::experiment::PipelineConfig{}
+                    .with_type(port)
+                    .with_budget(budget)
+                    .with_seed(seed)
+                    .with_shards(static_cast<int>(args.get_u64("shards", 0)))
+                    .with_trace_probes(obs.tracing());
+  if (!apply_fault_options(args, config, plan)) return 2;
+
   v6::metrics::TextTable table({"TGA", "Hits", "ASes", "Aliases"});
   if (args.options.contains("combined")) {
+    // The generators borrow the index, so it outlives them.
+    const v6::tga::SeedIndex index(seeds);
     std::vector<std::unique_ptr<v6::tga::TargetGenerator>> owned;
     std::vector<v6::tga::TargetGenerator*> generators;
-    for (const v6::tga::TgaKind kind : v6::tga::kAllTgas) {
+    for (const v6::tga::TgaKind kind :
+         kinds.empty() ? std::span<const v6::tga::TgaKind>(v6::tga::kAllTgas)
+                       : std::span<const v6::tga::TgaKind>(kinds)) {
       owned.push_back(v6::tga::make_generator(kind));
       generators.push_back(owned.back().get());
     }
-    v6::experiment::CombinedConfig config;
-    config.budget_per_generator = budget;
-    config.type = port;
-    config.seed = seed;
     config.telemetry = obs.telemetry();
     const auto result = v6::experiment::run_combined(
-        bench.universe(), generators, seeds, bench.alias_list(), config);
+        bench.universe(), generators, index, bench.alias_list(), config);
     for (std::size_t g = 0; g < generators.size(); ++g) {
       const auto& outcome = result.per_generator[g];
       table.add_row({std::string(generators[g]->name()),
@@ -510,19 +524,6 @@ int cmd_survey(const Args& args) {
     return 0;
   }
 
-  std::vector<v6::tga::TgaKind> kinds;  // empty = all eight
-  if (args.options.contains("tgas") &&
-      !parse_tga_list(args.get("tgas", ""), &kinds)) {
-    return 2;
-  }
-  std::optional<v6::fault::FaultPlan> plan;
-  auto config = v6::experiment::PipelineConfig{}
-                    .with_type(port)
-                    .with_budget(budget)
-                    .with_seed(seed)
-                    .with_shards(static_cast<int>(args.get_u64("shards", 0)))
-                    .with_trace_probes(obs.tracing());
-  if (!apply_fault_options(args, config, plan)) return 2;
   const auto runs =
       v6::experiment::ScanSession(bench.universe(), bench.alias_list())
           .with_seeds(seeds)
