@@ -6,15 +6,13 @@ Resolver::Resolver(const ZoneDb& zone, ResolverConfig config)
     : zone_(&zone), config_(config),
       rng_(v6::net::make_rng(config.seed, /*tag=*/0x4E5)) {}
 
-Resolution Resolver::resolve(std::string_view name) {
+Resolver::Answer Resolver::answer(std::string_view name) {
   ++stats_.queries;
-  const std::string key(name);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
+  if (const auto it = cache_.find(name); it != cache_.end()) {
     ++stats_.cache_hits;
     return it->second;
   }
 
-  Resolution result;
   // Transient failures with retries.
   bool answered = false;
   for (int attempt = 0; attempt <= config_.retries; ++attempt) {
@@ -26,11 +24,11 @@ Resolution Resolver::resolve(std::string_view name) {
   }
   if (!answered) {
     ++stats_.failed;
-    result.rcode = RCode::kTimeout;
     // Transient failures are NOT cached (a retry later may succeed).
-    return result;
+    return {.rcode = RCode::kTimeout};
   }
 
+  Answer result;
   const DomainRecord* record = zone_->find(name);
   if (record == nullptr) {
     ++stats_.nxdomain;
@@ -40,11 +38,18 @@ Resolution Resolver::resolve(std::string_view name) {
     result.rcode = RCode::kNoAaaa;
   } else {
     ++stats_.noerror;
-    result.rcode = RCode::kNoError;
-    result.aaaa = record->aaaa;
-    stats_.addresses += result.aaaa.size();
+    result = {.rcode = RCode::kNoError, .record = record};
+    stats_.addresses += record->aaaa.size();
   }
-  cache_.emplace(key, result);
+  cache_.emplace(name, result);
+  return result;
+}
+
+Resolution Resolver::resolve(std::string_view name) {
+  const Answer a = answer(name);
+  Resolution result;
+  result.rcode = a.rcode;
+  if (a.record != nullptr) result.aaaa = a.record->aaaa;
   return result;
 }
 
@@ -52,9 +57,12 @@ std::vector<v6::net::Ipv6Addr> Resolver::resolve_all(
     std::span<const std::string> names) {
   std::vector<v6::net::Ipv6Addr> out;
   out.reserve(names.size());
+  cache_.reserve(cache_.size() + names.size());
   for (const std::string& name : names) {
-    const Resolution r = resolve(name);
-    out.insert(out.end(), r.aaaa.begin(), r.aaaa.end());
+    const Answer a = answer(name);
+    if (a.record != nullptr) {
+      out.insert(out.end(), a.record->aaaa.begin(), a.record->aaaa.end());
+    }
   }
   return out;
 }

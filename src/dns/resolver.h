@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -75,10 +76,30 @@ class Resolver {
   const ResolveStats& stats() const { return stats_; }
 
  private:
+  /// Hashes names as std::hash<std::string_view>, so the cache finds a
+  /// string_view (with std::equal_to<>) without building a temporary
+  /// string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  /// An answer as cached: the rcode and, for NOERROR, the zone record
+  /// whose AAAA set it returns (the zone outlives the resolver).
+  struct Answer {
+    RCode rcode = RCode::kNxDomain;
+    const DomainRecord* record = nullptr;
+  };
+
+  /// resolve() without copying the AAAA set out of the zone.
+  Answer answer(std::string_view name);
+
   const ZoneDb* zone_;
   ResolverConfig config_;
   v6::net::Rng rng_;
-  std::unordered_map<std::string, Resolution> cache_;
+  std::unordered_map<std::string, Answer, NameHash, std::equal_to<>> cache_;
   ResolveStats stats_;
 };
 

@@ -41,9 +41,25 @@ ZoneDb ZoneDb::build(const v6::simnet::Universe& universe,
 
   std::vector<std::uint32_t> popular;  // indices of rankable records
 
+  // One streaming count sizes the zone: every nameable host adds at most
+  // its name and one label variant, so neither the records nor the index
+  // ever grow.
+  std::size_t nameable = 0;
+  universe.for_each_host([&](const HostRecord& host) {
+    nameable += host.kind == HostKind::kWebServer ||
+                host.kind == HostKind::kDnsServer;
+  });
+  zone.records_.reserve(2 * nameable);
+  zone.index_.reserve(2 * nameable, zone.name_at());
+
+  // Indexes `name` at the id the next record takes, unless it is taken
+  // (a rare collision). A name that is claimed here is always added.
+  auto claim = [&](std::string_view name) {
+    return zone.index_.insert(name, zone.records_.size(), zone.name_at())
+        .second;
+  };
   auto add_record = [&](DomainRecord record) -> std::uint32_t {
     const std::uint32_t id = static_cast<std::uint32_t>(zone.records_.size());
-    zone.index_.emplace(record.name, id);
     zone.records_.push_back(std::move(record));
     return id;
   };
@@ -64,7 +80,7 @@ ZoneDb ZoneDb::build(const v6::simnet::Universe& universe,
 
     DomainRecord record;
     record.name = make_name(rng, i);
-    if (zone.index_.contains(record.name)) return;  // rare collision
+    if (!claim(record.name)) return;
     record.asn = host.asn;
     record.dns_host = host.kind == HostKind::kDnsServer;
 
@@ -113,7 +129,7 @@ ZoneDb ZoneDb::build(const v6::simnet::Universe& universe,
       variant.aaaa = zone.records_[id].aaaa;
       variant.asn = zone.records_[id].asn;
       variant.dns_host = zone.records_[id].dns_host;
-      if (!zone.index_.contains(variant.name)) {
+      if (claim(variant.name)) {
         const std::uint32_t vid = add_record(std::move(variant));
         if (rankable && v6::net::chance(rng, 0.3)) popular.push_back(vid);
       }
@@ -144,8 +160,8 @@ ZoneDb ZoneDb::build(const v6::simnet::Universe& universe,
 }
 
 const DomainRecord* ZoneDb::find(std::string_view name) const {
-  const auto it = index_.find(std::string(name));
-  return it == index_.end() ? nullptr : &records_[it->second];
+  const std::optional<std::uint32_t> id = index_.find(name, name_at());
+  return id.has_value() ? &records_[*id] : nullptr;
 }
 
 }  // namespace v6::dns

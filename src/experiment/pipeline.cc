@@ -13,16 +13,22 @@ using v6::net::Ipv6Addr;
 using v6::net::ProbeReply;
 using v6::net::ProbeType;
 
+v6::probe::ScanOptions PipelineConfig::scan_options() const {
+  return {.max_retries = scan_retries,
+          .seed = seed,
+          .telemetry = telemetry,
+          .probe_timeout_s = probe_timeout_s,
+          .retry_backoff_s = retry_backoff_s,
+          .retry_jitter = retry_jitter,
+          .adaptive_threshold = adaptive_threshold,
+          .adaptive_backoff_s = adaptive_backoff_s};
+}
+
 void PipelineConfig::validate() const {
   const v6::check::Validator v("PipelineConfig");
   v.positive(budget, "budget");
   v.positive(batch_size, "batch_size");
-  v.non_negative(scan_retries, "scan_retries");
-  v.non_negative(probe_timeout_s, "probe_timeout_s");
-  v.non_negative(retry_backoff_s, "retry_backoff_s");
-  v.unit_interval(retry_jitter, "retry_jitter");
-  v.non_negative(adaptive_threshold, "adaptive_threshold");
-  v.non_negative(adaptive_backoff_s, "adaptive_backoff_s");
+  scan_options().validate();
   v.non_negative(shards, "shards");
   v.require(faults == nullptr || faults->valid(), "faults",
             "fault plan failed validation");

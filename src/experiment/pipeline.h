@@ -12,6 +12,7 @@
 #include "dealias/alias_list.h"
 #include "fault/fault_plan.h"
 #include "probe/blocklist.h"
+#include "probe/scanner.h"
 #include "metrics/scan_outcome.h"
 #include "net/ipv6.h"
 #include "net/service.h"
@@ -94,11 +95,18 @@ struct PipelineConfig {
     return *this;
   }
 
+  /// The options every scan of this config runs with (ScanRig's
+  /// engines): `scan_retries` as max_retries, the seed, the telemetry
+  /// and the robust-scanner knobs; max_pps is ScanOptions' 10K pps.
+  v6::probe::ScanOptions scan_options() const;
+
   /// Bounds-checks every field through the shared check/validate.h
   /// path; throws check::ConfigError with a uniform
-  /// "PipelineConfig.<field>: <constraint>" message. Called by run_tga,
-  /// run_combined and ScanSession::sweep, so an invalid config fails
-  /// identically whichever entry point sees it first.
+  /// "PipelineConfig.<field>: <constraint>" message, or, for the scan
+  /// fields, scan_options().validate()'s "ScanOptions.<field>: …" one.
+  /// Called by run_tga, run_combined and ScanSession::sweep, so an
+  /// invalid config fails identically whichever entry point sees it
+  /// first.
   void validate() const;
 };
 

@@ -22,15 +22,7 @@ ScanRig::ScanRig(const v6::simnet::Universe& universe,
   }
   online_.emplace(*chain_, config.seed);
 
-  const v6::probe::ScanOptions options{
-      .max_retries = config.scan_retries,
-      .seed = config.seed,
-      .telemetry = telemetry_,
-      .probe_timeout_s = config.probe_timeout_s,
-      .retry_backoff_s = config.retry_backoff_s,
-      .retry_jitter = config.retry_jitter,
-      .adaptive_threshold = config.adaptive_threshold,
-      .adaptive_backoff_s = config.adaptive_backoff_s};
+  const v6::probe::ScanOptions options = config.scan_options();
   if (config.shards == 0) {
     batch_.emplace(*chain_, config.blocklist, options);
     return;

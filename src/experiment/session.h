@@ -22,11 +22,13 @@
 // over the seeds, so the seeds are indexed, and each space tree built,
 // once per sweep rather than once per run.
 //
-// The continuous service (src/service) builds on the same object model:
-// HitlistService holds a session-shaped binding (universe + alias list
-// + telemetry) for the lifetime of the daemon and drives refresh scans
-// through it. ScanSession is the only sweep entry point; the v6lint
-// `deprecated-api` rule keeps the retired positional spellings out.
+// The continuous service (src/service) does not scan through a session
+// or a ScanRig: src/service may not include src/experiment
+// (tools/lint/layers.txt), so HitlistService builds its own
+// StreamScanner each refresh cycle from its ServiceConfig (shards,
+// max_pps, watchdog, a per-cycle seed). ScanSession is the only sweep
+// entry point; the v6lint `deprecated-api` rule keeps the retired
+// positional spellings out.
 #pragma once
 
 #include <span>

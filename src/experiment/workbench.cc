@@ -28,18 +28,35 @@ Workbench::Workbench(WorkbenchConfig config)
   {
     v6::obs::Span span(config_.telemetry, "workbench.collect");
     v6::seeds::SeedCollector collector(universe_, config_.seed);
-    seeds_ = collector.collect_all();
+    seeds_ = collector.collect_all(config_.telemetry);
     alias_list_ = v6::dealias::AliasList::published_from(universe_);
   }
 
-  // Activity ground scan of the full dataset on all four probe types
-  // (paper §5.3), with the paper's regular scan settings.
-  v6::obs::Span span(config_.telemetry, "workbench.activity_scan");
-  ScanRig rig(universe_, PipelineConfig{}
-                             .with_seed(config_.seed)
-                             .with_telemetry(config_.telemetry));
-  activity_ = v6::seeds::scan_activity(
-      seeds_, std::bind_front(&ScanRig::scan, &rig));
+  // The joint-dealiased dataset reads only the seeds, the alias list and
+  // full(), never activity_, so one worker computes it while this thread
+  // runs the activity scan (inline when default_jobs() is 1). Its rig
+  // has no telemetry, so it opens no span and moves no counter.
+  v6::runtime::WorkerGroup dealias_worker;
+  const auto dealias_joint = [this] {
+    dealiased(v6::dealias::DealiasMode::kJoint);
+  };
+  if (v6::runtime::default_jobs() > 1) {
+    dealias_worker.spawn(dealias_joint);
+  } else {
+    dealias_joint();
+  }
+
+  {
+    // Activity ground scan of the full dataset on all four probe types
+    // (paper §5.3), with the paper's regular scan settings.
+    v6::obs::Span span(config_.telemetry, "workbench.activity_scan");
+    ScanRig rig(universe_, PipelineConfig{}
+                               .with_seed(config_.seed)
+                               .with_telemetry(config_.telemetry));
+    activity_ = v6::seeds::scan_activity(
+        seeds_, std::bind_front(&ScanRig::scan, &rig));
+  }
+  dealias_worker.join();
 }
 
 const std::vector<Ipv6Addr>& Workbench::dealiased(

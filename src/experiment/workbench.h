@@ -2,8 +2,10 @@
 // Internet, collects the 12-source seed dataset, scans it for activity,
 // and materializes every seed-dataset variant studied by the paper
 // (Table 2): Full, Offline/Online/Joint-dealiased, All Active,
-// port-specific, and source-specific. Variants are computed lazily and
-// cached; everything is deterministic in the master seed.
+// port-specific, and source-specific. The constructor computes the
+// joint-dealiased variant beside the activity scan; the others are
+// computed lazily. Every variant is cached, and everything is
+// deterministic in the master seed.
 #pragma once
 
 #include <array>

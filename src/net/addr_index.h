@@ -1,12 +1,14 @@
 // Address indexes: AddrIndex, the one open-addressing core, and
 // AddrIndexMap, the map built on it.
 //
-// AddrIndex maps an Ipv6Addr to its position in an array its owner
-// already keeps: Universe's host records, a scanner's target list, a
-// seed dataset's addresses (which seeds::ActivityMap borrows), a
-// generator's emitted set. A slot is 8 bytes: the key's tag (the high
-// half of its Ipv6AddrHash) and its position + 1, so a zeroed slot is
-// empty. The table holds neither the keys nor a pointer to them. Every
+// AddrIndex maps a key to its position in an array its owner already
+// keeps. The keys are Ipv6Addrs (Universe's host records, a scanner's
+// target list, a seed dataset's addresses, which seeds::ActivityMap
+// borrows, a generator's emitted set) or names (dns::ZoneDb's records,
+// looked up by std::string_view). A slot is 8 bytes: the key's tag (the
+// high half of its Ipv6AddrHash, or of std::hash<std::string_view> for
+// a name) and its position + 1, so a zeroed slot is empty. The table
+// holds neither the keys nor a pointer to them. Every
 // call takes a key accessor, key_at(pos) -> the owner's key at pos, and
 // the core reads a key only where a slot's tag matches the one sought:
 // a hit, or rarely two keys with one tag. A miss touches its home
@@ -39,9 +41,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,39 +71,40 @@ class AddrIndex {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// The position stored for `addr`, or nullopt.
-  template <typename KeyAt>
-  std::optional<std::uint32_t> find(const Ipv6Addr& addr,
+  /// The position stored for `key`, or nullopt. `Key` is Ipv6Addr or
+  /// std::string_view, and key_at(pos) must compare equal to it.
+  template <typename Key, typename KeyAt>
+  std::optional<std::uint32_t> find(const Key& key,
                                     const KeyAt& key_at) const {
     if (slots_.empty()) return std::nullopt;
-    const Slot& slot = locate(slots_, tag_of(addr), [&](std::uint32_t pos) {
-      return key_at(pos) == addr;
+    const Slot& slot = locate(slots_, tag_of(key), [&](std::uint32_t pos) {
+      return key_at(pos) == key;
     });
     if (slot.pos1 == 0) return std::nullopt;
     return slot.pos1 - 1;
   }
 
-  template <typename KeyAt>
-  bool contains(const Ipv6Addr& addr, const KeyAt& key_at) const {
-    return find(addr, key_at).has_value();
+  template <typename Key, typename KeyAt>
+  bool contains(const Key& key, const KeyAt& key_at) const {
+    return find(key, key_at).has_value();
   }
 
-  /// Indexes `addr` at `pos` unless it is already indexed; returns the
-  /// position stored for `addr` and whether this call stored it.
+  /// Indexes `key` at `pos` unless it is already indexed; returns the
+  /// position stored for `key` and whether this call stored it.
   /// `key_at` need only reach the positions already indexed, so an owner
-  /// may append `addr` to its array once this returns true.
-  template <typename KeyAt>
-  std::pair<std::uint32_t, bool> insert(const Ipv6Addr& addr,
-                                        std::size_t pos, const KeyAt& key_at) {
+  /// may append `key` to its array once this returns true.
+  template <typename Key, typename KeyAt>
+  std::pair<std::uint32_t, bool> insert(const Key& key, std::size_t pos,
+                                        const KeyAt& key_at) {
     V6_REQUIRE_MSG(pos < std::numeric_limits<std::uint32_t>::max(),
                    "position + 1 must fit a slot's 32 bits");
     if (slots_.empty() ||
         (size_ + 1) * 100 > slots_.size() * kMaxLoadPercent) {
       rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2, key_at);
     }
-    const std::uint32_t tag = tag_of(addr);
+    const std::uint32_t tag = tag_of(key);
     Slot& slot = locate(slots_, tag, [&](std::uint32_t at) {
-      return key_at(at) == addr;
+      return key_at(at) == key;
     });
     if (slot.pos1 != 0) return {slot.pos1 - 1, false};
     slot = {tag, static_cast<std::uint32_t>(pos + 1)};
@@ -140,6 +145,10 @@ class AddrIndex {
 
   static std::uint32_t tag_of(const Ipv6Addr& addr) {
     return static_cast<std::uint32_t>(Ipv6AddrHash{}(addr) >> 32);
+  }
+  static std::uint32_t tag_of(std::string_view name) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name) >>
+                                      32);
   }
 
   /// The slot where a probe for `tag` starts: the tag's top

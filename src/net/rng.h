@@ -6,7 +6,10 @@
 // component B.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 
 #include "net/ipv6.h"
@@ -77,6 +80,73 @@ using Rng = std::mt19937_64;
 inline Rng make_rng(std::uint64_t master, std::uint64_t tag = 0) {
   return Rng(derive_seed(master, tag));
 }
+
+/// std::mt19937_64(seed) for engines that draw only a few values: the
+/// same sequence, without seeding and twisting all 312 state words up
+/// front. After seeding, output j < 156 of the standard engine is
+/// temper(x[j + 156] ^ twist(x[j], x[j + 1])) over the seeded words x,
+/// so the first 156 draws need the seeding recurrence only as far as
+/// word j + 156. Draw 157 on hands over to a real std::mt19937_64(seed)
+/// advanced by 156. The standard fixes both the seeding and the
+/// generation algorithm, so the sequence is portable. Seeding a full
+/// engine and drawing once costs ~2 µs; construction here seeds 157
+/// words and each draw one more. Use Rng for long-lived streams.
+class LazyMt64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit LazyMt64(std::uint64_t seed) : seed_(seed) {
+    head_[0] = seed;
+    for (std::size_t i = 1; i < head_.size(); ++i) {
+      head_[i] = next_seeded(head_[i - 1], i);
+    }
+    far_ = head_[kShift - 1];
+  }
+
+  static constexpr result_type min() { return Rng::min(); }
+  static constexpr result_type max() { return Rng::max(); }
+
+  result_type operator()() {
+    if (drawn_ < kLazyDraws) return lazy_next();
+    if (!tail_.has_value()) {
+      tail_.emplace(seed_);
+      tail_->discard(kLazyDraws);
+    }
+    return (*tail_)();
+  }
+
+ private:
+  static constexpr std::size_t kShift = Rng::shift_size;  // m = 156
+  static constexpr std::size_t kLazyDraws = Rng::state_size - kShift;
+
+  static constexpr std::uint64_t next_seeded(std::uint64_t prev,
+                                             std::size_t i) {
+    return Rng::initialization_multiplier *
+               (prev ^ (prev >> (Rng::word_size - 2))) +
+           i;
+  }
+
+  result_type lazy_next() {
+    far_ = next_seeded(far_, drawn_ + kShift);
+    constexpr std::uint64_t kUpper = ~std::uint64_t{0} << Rng::mask_bits;
+    const std::uint64_t y =
+        (head_[drawn_] & kUpper) | (head_[drawn_ + 1] & ~kUpper);
+    std::uint64_t z = far_ ^ (y >> 1) ^ ((y & 1) ? Rng::xor_mask : 0);
+    ++drawn_;
+    z ^= (z >> Rng::tempering_u) & Rng::tempering_d;
+    z ^= (z << Rng::tempering_s) & Rng::tempering_b;
+    z ^= (z << Rng::tempering_t) & Rng::tempering_c;
+    return z ^ (z >> Rng::tempering_l);
+  }
+
+  std::uint64_t seed_;
+  std::size_t drawn_ = 0;
+  /// Seeded words 0..156, filled by the constructor.
+  std::array<std::uint64_t, kShift + 1> head_;
+  /// Seeded word drawn_ + 155: the last one the recurrence reached.
+  std::uint64_t far_ = 0;
+  std::optional<Rng> tail_;
+};
 
 /// A counter-based SplitMix64 URBG: draw k is splitmix64(seed + k).
 /// Construction is two stores (no 624-word mt19937 table), which is what

@@ -1,6 +1,8 @@
 #include "seeds/collector.h"
 
 #include <array>
+#include <cctype>
+#include <chrono>
 #include <unordered_map>
 
 #include "net/rng.h"
@@ -34,6 +36,15 @@ std::optional<v6::dns::DomainListKind> domain_kind(SeedSource source) {
 }
 
 }  // namespace
+
+std::string timer_name(SeedSource source) {
+  std::string name = "seeds.collect.";
+  for (const char c : to_string(source)) {
+    const auto u = static_cast<unsigned char>(c);
+    name += std::isalnum(u) ? static_cast<char>(std::tolower(u)) : '_';
+  }
+  return name;
+}
 
 SourceProfile default_profile(SeedSource source) {
   SourceProfile p;
@@ -350,24 +361,41 @@ std::vector<Ipv6Addr> SeedCollector::collect(SeedSource source) const {
   return out;
 }
 
-SeedDataset SeedCollector::collect_all() const {
-  // Two lanes. The traceroute campaigns (the slowest sources) and the
-  // IPv6 Hitlist need neither the zone nor a TGA run, so one worker
-  // collects them while this thread builds the zone and collects the
-  // rest. Each source writes only its own slot, and the merge below
-  // runs in kAllSeedSources order, so the dataset is the serial fold's.
-  // Fanning out all twelve would raise peak RSS: glibc's per-thread
-  // arenas keep each concurrent source's transient peak.
+SeedDataset SeedCollector::collect_all(v6::obs::Telemetry* telemetry) const {
+  // Two lanes, split by the zone (docs/ALGORITHMS.md, "Parallel
+  // experiment execution"). The calling thread builds the zone and
+  // resolves the eight domain feeds through it; one worker collects the
+  // four sources that need no zone: the two traceroute campaigns, the
+  // IPv6 Hitlist and AddrMiner's DET run. Measured, the two lanes take
+  // about as long (the seeds.collect.* timers). Each source
+  // writes only its own slot, and the merge below runs in
+  // kAllSeedSources order, so the dataset is the serial fold's. No third
+  // lane: the chain is sequential, and every extra lane keeps a glibc
+  // arena of its own, raising peak RSS.
   const auto on_worker = [](SeedSource source) {
-    return source == SeedSource::kScamper ||
-           source == SeedSource::kRipeAtlas || source == SeedSource::kHitlist;
+    return !domain_kind(source).has_value();
+  };
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
   };
   std::array<std::vector<Ipv6Addr>, kNumSeedSources> feeds;
+  // Each lane times its sources (the caller lane also the zone) into its
+  // own slots; the registry sees them only after the join.
+  std::array<double, kNumSeedSources> source_seconds{};
+  double zone_seconds = 0.0;
   const auto collect_lane = [&](bool worker_lane) {
+    if (!worker_lane) {
+      const auto start = Clock::now();
+      zone();
+      zone_seconds = seconds_since(start);
+    }
     for (const SeedSource source : kAllSeedSources) {
-      if (on_worker(source) == worker_lane) {
-        feeds[static_cast<std::size_t>(source)] = collect(source);
-      }
+      if (on_worker(source) != worker_lane) continue;
+      const auto slot = static_cast<std::size_t>(source);
+      const auto start = Clock::now();
+      feeds[slot] = collect(source);
+      source_seconds[slot] = seconds_since(start);
     }
   };
   v6::runtime::WorkerGroup worker;
@@ -378,6 +406,15 @@ SeedDataset SeedCollector::collect_all() const {
   }
   collect_lane(false);
   worker.join();
+
+  if (telemetry != nullptr) {
+    v6::obs::Registry& registry = telemetry->registry();
+    registry.timer("seeds.collect.zone").record_seconds(zone_seconds);
+    for (const SeedSource source : kAllSeedSources) {
+      registry.timer(timer_name(source))
+          .record_seconds(source_seconds[static_cast<std::size_t>(source)]);
+    }
+  }
 
   std::size_t total = 0;
   for (const auto& feed : feeds) total += feed.size();

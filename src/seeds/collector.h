@@ -19,12 +19,14 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "dns/domain_lists.h"
 #include "dns/resolver.h"
 #include "dns/zone_db.h"
 #include "net/ipv6.h"
+#include "obs/telemetry.h"
 #include "seeds/seed_dataset.h"
 #include "seeds/source.h"
 #include "simnet/universe.h"
@@ -58,6 +60,11 @@ struct SourceProfile {
 /// The default profile for each source.
 SourceProfile default_profile(SeedSource source);
 
+/// The timer collect_all() records a source's collection under:
+/// `seeds.collect.` and the source's name, lowercased, with every other
+/// character an underscore (`seeds.collect.ipv6_hitlist`).
+std::string timer_name(SeedSource source);
+
 class SeedCollector {
  public:
   /// `seed` controls all sampling; collection is deterministic in
@@ -73,10 +80,14 @@ class SeedCollector {
 
   /// Collects every source into one provenance-tagged dataset: the
   /// merge, in kAllSeedSources order, of collect() over every source.
-  /// The two traceroute campaigns and the IPv6 Hitlist run on one
-  /// worker while the calling thread builds the zone and collects the
-  /// other nine (inline when runtime::default_jobs() is 1).
-  SeedDataset collect_all() const;
+  /// The four sources that need no DNS zone (the two traceroute
+  /// campaigns, the IPv6 Hitlist, AddrMiner) run on one worker while the
+  /// calling thread builds the zone and collects the eight domain feeds
+  /// (inline when runtime::default_jobs() is 1). With `telemetry`,
+  /// records the zone build as the `seeds.collect.zone` timer and each
+  /// source as timer_name(source), one sample each, in kAllSeedSources
+  /// order after the lanes join.
+  SeedDataset collect_all(v6::obs::Telemetry* telemetry = nullptr) const;
 
   /// The synthetic DNS zone used for domain-feed resolution, built by
   /// the first call (thread-safe).

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 
+#include "net/addr_index.h"
+
 namespace v6::topo {
 
 using v6::net::Ipv6Addr;
+using v6::net::LazyMt64;
 using v6::net::Rng;
 using v6::simnet::HostKind;
 
@@ -27,7 +30,7 @@ TracerouteEngine::TracerouteEngine(const v6::simnet::Universe& universe,
   // on materialized and procedural universes).
   universe.for_each_host([this](const v6::simnet::HostRecord& host) {
     if (host.kind == HostKind::kRouter && host.historic_services != 0) {
-      routers_[host.asn].push_back(host.addr);
+      routers_[host.asn].push_back({host.addr, addr_unit(host.addr)});
     }
   });
   // Transit pool: ASes with several routers act as providers.  Both
@@ -44,9 +47,10 @@ TracerouteEngine::TracerouteEngine(const v6::simnet::Universe& universe,
     std::sort(transit_pool_.begin(), transit_pool_.end());
   }
 
-  // Synthesize 1-3 upstream providers per AS, deterministically.
+  // Synthesize 1-3 upstream providers per AS, deterministically. Each
+  // AS draws at most four values, so its engine seeds lazily.
   for (const auto& info : universe.asdb().all()) {
-    Rng rng = v6::net::make_rng(seed, 0x109 ^ info.asn);
+    LazyMt64 rng(v6::net::derive_seed(seed, 0x109 ^ info.asn));
     const int n = transit_pool_.empty()
                       ? 0
                       : v6::net::uniform_int(rng, 1, 3);
@@ -69,30 +73,42 @@ const std::vector<std::uint32_t>& TracerouteEngine::upstreams(
   return it == upstreams_.end() ? kEmpty : it->second;
 }
 
-std::vector<Ipv6Addr> TracerouteEngine::visible_routers(
-    std::uint32_t asn, const VantageProfile& vantage) const {
-  std::vector<Ipv6Addr> out;
+void TracerouteEngine::visible_routers(std::uint32_t asn,
+                                       const VantageProfile& vantage,
+                                       std::vector<Ipv6Addr>& out) const {
+  out.clear();
   const auto it = routers_.find(asn);
-  if (it == routers_.end()) return out;
-  for (const Ipv6Addr& addr : it->second) {
-    const double u = addr_unit(addr);
-    if (u >= vantage.band_lo && u < vantage.band_hi) out.push_back(addr);
+  if (it == routers_.end()) return;
+  for (const Router& router : it->second) {
+    if (router.unit >= vantage.band_lo && router.unit < vantage.band_hi) {
+      out.push_back(router.addr);
+    }
   }
-  return out;
 }
 
 std::vector<TraceHop> TracerouteEngine::trace(
     const Ipv6Addr& target, const VantageProfile& vantage) const {
   std::vector<TraceHop> path;
-  const auto dest_asn = universe_->asn_of(target);
-  if (!dest_asn) return path;
+  std::vector<Ipv6Addr> visible;
+  trace_into(target, vantage, path, visible);
+  return path;
+}
 
-  Rng rng = v6::net::make_rng(
-      seed_, v6::net::splitmix64(target.hi() ^ target.lo()) ^ 0x7124CE);
+void TracerouteEngine::trace_into(const Ipv6Addr& target,
+                                  const VantageProfile& vantage,
+                                  std::vector<TraceHop>& path,
+                                  std::vector<Ipv6Addr>& visible) const {
+  path.clear();
+  const auto dest_asn = universe_->asn_of(target);
+  if (!dest_asn) return;
+
+  // One engine per trace, for at most ~20 draws: seeded lazily.
+  LazyMt64 rng(v6::net::derive_seed(
+      seed_, v6::net::splitmix64(target.hi() ^ target.lo()) ^ 0x7124CE));
   int ttl = 1;
 
   auto push_from_as = [&](std::uint32_t asn, int max_hops) {
-    const auto visible = visible_routers(asn, vantage);
+    visible_routers(asn, vantage, visible);
     if (visible.empty()) return;
     const int hops =
         std::min<int>(max_hops, v6::net::uniform_int(rng, 1, 2));
@@ -121,25 +137,27 @@ std::vector<TraceHop> TracerouteEngine::trace(
     push_from_as(first, 2);
   }
   push_from_as(*dest_asn, 2);
-  return path;
 }
 
 std::vector<Ipv6Addr> TracerouteEngine::campaign(
     std::size_t num_targets, const VantageProfile& vantage,
     std::uint64_t campaign_tag) const {
   std::vector<Ipv6Addr> out;
-  std::unordered_map<Ipv6Addr, bool, v6::net::Ipv6AddrHash> seen;
+  v6::net::AddrIndex seen;  // positions in `out`
   Rng rng = v6::net::make_rng(seed_, 0xCA4 ^ campaign_tag);
   const auto& announcements = universe_->routes().announcements();
   if (announcements.empty()) return out;
 
+  std::vector<TraceHop> path;
+  std::vector<Ipv6Addr> visible;
   for (std::size_t i = 0; i < num_targets; ++i) {
     const auto& [prefix, asn] = announcements[v6::net::uniform_int<
         std::size_t>(rng, 0, announcements.size() - 1)];
     const Ipv6Addr target = v6::net::random_in_prefix(rng, prefix);
-    for (const TraceHop& hop : trace(target, vantage)) {
+    trace_into(target, vantage, path, visible);
+    for (const TraceHop& hop : path) {
       if (!hop.responded) continue;
-      if (seen.emplace(hop.addr, true).second) {
+      if (seen.insert(hop.addr, out.size(), v6::net::key_in(out)).second) {
         out.push_back(hop.addr);
       }
     }

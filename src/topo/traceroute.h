@@ -61,17 +61,30 @@ class TracerouteEngine {
   const std::vector<std::uint32_t>& upstreams(std::uint32_t asn) const;
 
  private:
-  /// Routers of one AS whose interface hash lies inside the vantage band.
-  std::vector<v6::net::Ipv6Addr> visible_routers(std::uint32_t asn,
-                                                 const VantageProfile& vantage)
-      const;
+  /// A router interface with its interface hash as a unit value, the
+  /// number a vantage band selects on.
+  struct Router {
+    v6::net::Ipv6Addr addr;
+    double unit = 0.0;
+  };
+
+  /// Replaces `out` with the routers of one AS whose interface hash lies
+  /// inside the vantage band, in index order.
+  void visible_routers(std::uint32_t asn, const VantageProfile& vantage,
+                       std::vector<v6::net::Ipv6Addr>& out) const;
+
+  /// trace() into caller-owned buffers: replaces `path` with the hops,
+  /// and uses `visible` as scratch. A campaign reuses both per trace.
+  void trace_into(const v6::net::Ipv6Addr& target,
+                  const VantageProfile& vantage, std::vector<TraceHop>& path,
+                  std::vector<v6::net::Ipv6Addr>& visible) const;
 
   const v6::simnet::Universe* universe_;
   std::uint64_t seed_;
-  /// asn -> interface addresses of its (historically active) routers.
-  /// Addresses, not indices: there is no materialized host table to
-  /// index into on a procedural universe.
-  std::unordered_map<std::uint32_t, std::vector<v6::net::Ipv6Addr>> routers_;
+  /// asn -> interfaces of its (historically active) routers. Addresses,
+  /// not indices: there is no materialized host table to index into on
+  /// a procedural universe.
+  std::unordered_map<std::uint32_t, std::vector<Router>> routers_;
   /// asn -> upstream provider ASNs.
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> upstreams_;
   /// Transit-capable ASNs (provider pool).

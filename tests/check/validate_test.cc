@@ -74,7 +74,7 @@ TEST(ConfigValidation, PipelineConfigRejectsBadFields) {
               config.retry_jitter = 2.0;
               config.validate();
             }),
-            "PipelineConfig.retry_jitter: must be in [0, 1]");
+            "ScanOptions.retry_jitter: must be in [0, 1]");
   v6::experiment::PipelineConfig{}.validate();  // defaults are valid
 }
 

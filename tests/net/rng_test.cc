@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 namespace v6::net {
 namespace {
 
@@ -86,6 +89,84 @@ TEST_P(RandomInPrefixLengths, SampleStaysInPrefixAndVariesHostBits) {
 INSTANTIATE_TEST_SUITE_P(Lengths, RandomInPrefixLengths,
                          ::testing::Values(0, 1, 16, 32, 48, 63, 64, 65, 80,
                                            96, 112, 127, 128));
+
+// LazyMt64 must be std::mt19937_64 draw for draw, across its handover
+// from the lazily seeded first 156 draws to a real engine at draw 157.
+std::vector<std::uint64_t> lazy_test_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}, 5489};
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    seeds.push_back(derive_seed(42, k));
+    seeds.push_back(derive_seed(k, 0x7124CE ^ splitmix64(k)));
+  }
+  return seeds;
+}
+
+TEST(LazyMt64, RawDrawsMatchTheStandardEngine) {
+  // A digest of std::mt19937_64's own draws over the same seeds, so the
+  // reference stream is pinned too.
+  constexpr std::uint64_t kPinnedStreamDigest = 0x068b500d71c0429dULL;
+  std::uint64_t digest = 0;
+  for (const std::uint64_t seed : lazy_test_seeds()) {
+    std::mt19937_64 reference(seed);
+    LazyMt64 lazy(seed);
+    for (int draw = 0; draw < 2000; ++draw) {
+      const std::uint64_t want = reference();
+      ASSERT_EQ(lazy(), want) << "seed " << seed << " draw " << draw;
+      digest = splitmix64(digest ^ want);
+    }
+  }
+  EXPECT_EQ(digest, kPinnedStreamDigest) << std::hex << digest;
+}
+
+TEST(LazyMt64, EveryDrawCountAroundTheHandover) {
+  // Fresh engines stopped after n draws, for every n up to 160, then
+  // one more draw: the draw after a stop must not depend on where the
+  // engine stopped.
+  for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0},
+                                   derive_seed(7, 3)}) {
+    for (int n = 0; n <= 160; ++n) {
+      std::mt19937_64 reference(seed);
+      LazyMt64 lazy(seed);
+      reference.discard(static_cast<unsigned long long>(n));
+      for (int i = 0; i < n; ++i) lazy();
+      ASSERT_EQ(lazy(), reference()) << "seed " << seed << " after " << n;
+    }
+  }
+}
+
+TEST(LazyMt64, DistributionsMatchTheStandardEngine) {
+  for (const std::uint64_t seed : lazy_test_seeds()) {
+    std::mt19937_64 reference(seed);
+    LazyMt64 lazy(seed);
+    for (int draw = 0; draw < 600; ++draw) {
+      switch (draw % 4) {
+        case 0:
+          ASSERT_EQ(uniform_int(lazy, 1, 3), uniform_int(reference, 1, 3));
+          break;
+        case 1: {
+          // A range just past 2^63 rejects about half the raw draws.
+          const std::uint64_t hi = (1ULL << 63) + 5;
+          ASSERT_EQ(uniform_int<std::uint64_t>(lazy, 0, hi),
+                    uniform_int<std::uint64_t>(reference, 0, hi));
+          break;
+        }
+        case 2:
+          ASSERT_EQ(uniform01(lazy), uniform01(reference));
+          break;
+        default:
+          ASSERT_EQ(chance(lazy, 0.85), chance(reference, 0.85));
+      }
+    }
+  }
+}
+
+TEST(LazyMt64, TenThousandthDrawOfTheDefaultSeed) {
+  // [rand.predef]: the 10000th draw of a default-constructed
+  // mt19937_64 (seed 5489) is 9981545732273789042.
+  LazyMt64 lazy(std::mt19937_64::default_seed);
+  for (int i = 1; i < 10000; ++i) lazy();
+  EXPECT_EQ(lazy(), 9981545732273789042ULL);
+}
 
 }  // namespace
 }  // namespace v6::net

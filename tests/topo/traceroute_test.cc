@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
 #include <unordered_set>
 
 #include "net/rng.h"
@@ -11,7 +14,18 @@ namespace v6::topo {
 namespace {
 
 using v6::net::Ipv6Addr;
+using v6::net::splitmix64;
 using v6::testutil::small_universe;
+
+std::uint64_t fold(std::uint64_t digest, const Ipv6Addr& addr) {
+  return splitmix64(splitmix64(digest ^ addr.hi()) ^ addr.lo());
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64 "ULL", v);
+  return buf;
+}
 
 Ipv6Addr some_host_target() {
   return small_universe().hosts()[100].addr;
@@ -107,6 +121,58 @@ TEST(TracerouteEngine, HopResponseProbabilityFiltersHops) {
   VantageProfile silent{.hop_response_prob = 0.0};
   const auto interfaces = engine.campaign(500, silent, 4);
   EXPECT_TRUE(interfaces.empty());
+}
+
+// Pins the engine at seed 42 on small_universe(): every AS's upstreams
+// (asdb order), the hop-by-hop trace toward the first 2,000 hosts, and
+// the Scamper and RIPE Atlas campaigns as SeedCollector runs them
+// (their vantage bands, campaign sizes and source tags).
+TEST(TracerouteEngine, CampaignsArePinned) {
+  constexpr std::uint64_t kPinnedUpstreams = 0x78c30c4fa5fef39fULL;
+  constexpr std::uint64_t kPinnedTraces = 0xfb1480684d9cd905ULL;
+  constexpr std::uint64_t kPinnedScamper = 0xb466369b3df4b718ULL;
+  constexpr std::uint64_t kPinnedRipeAtlas = 0xd6566a87a44ebe6cULL;
+  const TracerouteEngine engine(small_universe(), 42);
+
+  std::uint64_t upstreams = splitmix64(small_universe().asdb().size());
+  for (const auto& info : small_universe().asdb().all()) {
+    const auto& ups = engine.upstreams(info.asn);
+    upstreams = splitmix64(upstreams ^ info.asn ^ (ups.size() << 32));
+    for (const std::uint32_t provider : ups) {
+      upstreams = splitmix64(upstreams ^ provider);
+    }
+  }
+
+  std::uint64_t traces = 0;
+  const auto hosts = small_universe().hosts();
+  for (std::size_t i = 0; i < 2000 && i < hosts.size(); ++i) {
+    const auto path = engine.trace(hosts[i].addr, {});
+    traces = splitmix64(traces ^ path.size());
+    for (const TraceHop& hop : path) {
+      traces = fold(traces, hop.addr);
+      traces = splitmix64(traces ^ hop.asn ^
+                          (static_cast<std::uint64_t>(hop.ttl) << 32) ^
+                          (hop.responded ? 1ULL << 40 : 0));
+    }
+  }
+
+  const auto campaign_digest = [&](std::size_t targets,
+                                   const VantageProfile& vantage,
+                                   std::uint64_t tag) {
+    const auto interfaces = engine.campaign(targets, vantage, tag);
+    std::uint64_t digest = splitmix64(interfaces.size());
+    for (const Ipv6Addr& addr : interfaces) digest = fold(digest, addr);
+    return digest;
+  };
+  const std::uint64_t scamper =
+      campaign_digest(40'000, {.band_lo = 0.0, .band_hi = 0.58}, 8);
+  const std::uint64_t atlas =
+      campaign_digest(30'000, {.band_lo = 0.47, .band_hi = 1.0}, 9);
+
+  EXPECT_EQ(upstreams, kPinnedUpstreams) << "new digest " << hex(upstreams);
+  EXPECT_EQ(traces, kPinnedTraces) << "new digest " << hex(traces);
+  EXPECT_EQ(scamper, kPinnedScamper) << "new digest " << hex(scamper);
+  EXPECT_EQ(atlas, kPinnedRipeAtlas) << "new digest " << hex(atlas);
 }
 
 }  // namespace
